@@ -10,9 +10,8 @@
 //! reenactment result per relation*, which is identical across all group
 //! members. [`GroupPlan::answer_in_group`] then answers one member with only
 //! the member-specific work: the modified-side reenactment and the delta
-//! against the cached original relations. A single query is a group of one,
-//! so [`answer_normalized`] is a thin wrapper that builds a singleton plan
-//! and answers it.
+//! against the cached original relations. A single query is a group of one:
+//! the session answers it from a singleton plan.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
@@ -26,7 +25,7 @@ use mahif_reenact::columnar::reenact_side_columnar;
 use mahif_reenact::split::{split_reenactment, SplitReenactment};
 use mahif_slicing::{
     apply_data_slicing, data_slicing_conditions, data_slicing_conditions_multi, greedy_slice,
-    program_slice, DataSlicingConditions, GreedyConfig, ProgramSliceResult,
+    program_slice_multi, DataSlicingConditions, GreedyConfig, ProgramSliceResult,
 };
 use mahif_storage::{ColumnarRelation, Database, Relation, VersionedDatabase};
 
@@ -34,29 +33,9 @@ use crate::config::{Deadline, EngineConfig, Method};
 use crate::error::MahifError;
 use crate::stats::{EngineStats, PhaseTimings, WhatIfAnswer};
 
-/// Answers a historical what-if query with the given method.
-///
-/// The query is the borrowed view [`WhatIfRef`] (a `&HistoricalWhatIf`
-/// converts via `Into`): the engine never clones the registered history or
-/// the pre-history state, so a long-lived [`crate::Session`] answers every
-/// request against the state it registered once. `versioned` must be the
-/// version chain obtained by executing `query.history` over
-/// `query.database` (the session maintains it); `current_state` is its
-/// newest version `H(D)`.
-pub fn answer_what_if<'a>(
-    query: impl Into<WhatIfRef<'a>>,
-    versioned: &VersionedDatabase,
-    current_state: &Database,
-    method: Method,
-    config: &EngineConfig,
-) -> Result<WhatIfAnswer, MahifError> {
-    let query = query.into();
-    match method {
-        Method::Naive => answer_naive(query, current_state),
-        _ => answer_reenactment(query, versioned, method, config),
-    }
-}
-
+/// Answers a historical what-if query with Algorithm 1: copy the
+/// pre-history state, run the modified history over the copy and diff it
+/// against `current_state` (the registered `H(D)`).
 pub(crate) fn answer_naive(
     query: WhatIfRef<'_>,
     current_state: &Database,
@@ -82,23 +61,11 @@ pub(crate) fn answer_naive(
     })
 }
 
-fn answer_reenactment(
-    query: WhatIfRef<'_>,
-    versioned: &VersionedDatabase,
-    method: Method,
-    config: &EngineConfig,
-) -> Result<WhatIfAnswer, MahifError> {
-    // Normalize the modifications into two equal-length histories related by
-    // replacements only (Section 3 / Section 6).
-    let normalized = query.normalize()?;
-    let slice = compute_program_slice(&normalized, versioned.initial(), method, config)?;
-    answer_normalized(&normalized, &slice, versioned, method, config)
-}
-
 /// Phase 1 of the reenactment engine: the program slice for a normalized
 /// what-if query (the trivial keep-all slice for methods without program
-/// slicing). Exposed so batch engines can compute — or share — slices
-/// separately from reenactment; see [`answer_normalized`].
+/// slicing). A single query is a scenario group of one, so the dependency
+/// test is `program_slice_multi` over one variant; [`GroupPlan::build`]
+/// then takes the slice.
 pub fn compute_program_slice(
     normalized: &NormalizedWhatIf,
     base_db: &Database,
@@ -121,9 +88,9 @@ pub fn compute_program_slice(
             },
         )?
     } else {
-        program_slice(
+        program_slice_multi(
             &normalized.original,
-            &normalized.modified,
+            std::slice::from_ref(&normalized.modified),
             &normalized.modified_positions,
             base_db,
             &config.slicing(),
@@ -146,7 +113,7 @@ pub fn compute_program_slice(
 /// A single query is a group of one: this builds a singleton [`GroupPlan`]
 /// and answers its only member, with the shared phases' timings folded into
 /// the member's answer.
-pub fn answer_normalized(
+pub(crate) fn answer_normalized(
     normalized: &NormalizedWhatIf,
     slice: &ProgramSliceResult,
     versioned: &VersionedDatabase,
@@ -874,30 +841,39 @@ mod tests {
     use mahif_history::{HistoricalWhatIf, Modification, ModificationSet, SetClause, Statement};
     use mahif_storage::Tuple;
 
-    fn setup(modifications: ModificationSet) -> (HistoricalWhatIf, VersionedDatabase, Database) {
-        let db = running_example_database();
-        let history = History::new(running_example_history());
-        let versioned = history.execute_versioned(&db).unwrap();
-        let current = versioned.current().clone();
-        (
-            HistoricalWhatIf::new(history, db, modifications),
-            versioned,
-            current,
+    fn setup(modifications: ModificationSet) -> HistoricalWhatIf {
+        HistoricalWhatIf::new(
+            History::new(running_example_history()),
+            running_example_database(),
+            modifications,
         )
     }
 
+    /// Answers `query` through a fresh session — the one funnel every
+    /// method's answer goes through — with the analyzer off, so even a
+    /// provable no-op reaches the engine.
+    fn run(query: &HistoricalWhatIf, method: Method, config: &EngineConfig) -> WhatIfAnswer {
+        let session =
+            crate::Session::with_history("q", query.database.clone(), query.history.clone())
+                .unwrap();
+        session
+            .on("q")
+            .modifications(query.modifications.clone())
+            .method(method)
+            .config(EngineConfig {
+                disable_analyzer: true,
+                ..config.clone()
+            })
+            .run()
+            .unwrap()
+            .into_answer()
+    }
+
     fn all_methods_agree(modifications: ModificationSet) {
-        let (query, versioned, current) = setup(modifications);
+        let query = setup(modifications);
         let reference = query.answer_by_direct_execution().unwrap();
         for method in Method::all() {
-            let answer = answer_what_if(
-                &query,
-                &versioned,
-                &current,
-                method,
-                &EngineConfig::default(),
-            )
-            .unwrap();
+            let answer = run(&query, method, &EngineConfig::default());
             assert_eq!(
                 answer.delta,
                 reference,
@@ -964,8 +940,6 @@ mod tests {
             ge(attr("Price"), lit(52)),
         ));
         let history = History::new(statements);
-        let versioned = history.execute_versioned(&db).unwrap();
-        let current = versioned.current().clone();
         let query = HistoricalWhatIf::new(
             history,
             db,
@@ -978,7 +952,7 @@ mod tests {
                     disable_insert_split: disable_split,
                     ..Default::default()
                 };
-                let answer = answer_what_if(&query, &versioned, &current, method, &config).unwrap();
+                let answer = run(&query, method, &config);
                 assert_eq!(
                     answer.delta,
                     reference,
@@ -1056,14 +1030,7 @@ mod tests {
             assert_eq!(answer.timings.data_slicing, Duration::ZERO);
             // And match the single-query engine byte for byte on the delta.
             let query = HistoricalWhatIf::new(history.clone(), db.clone(), mods);
-            let single = answer_what_if(
-                &query,
-                &versioned,
-                versioned.current(),
-                Method::ReenactPsDs,
-                &config,
-            )
-            .unwrap();
+            let single = run(&query, Method::ReenactPsDs, &config);
             assert_eq!(answer.delta, single.delta, "member {i} vs single");
             assert!(!single.stats.shared_work, "singles fold their own work");
             assert_eq!(single.stats.original_reenactments, 1);
@@ -1105,7 +1072,7 @@ mod tests {
 
     #[test]
     fn greedy_slicer_configuration() {
-        let (query, versioned, current) = setup(ModificationSet::single_replace(
+        let query = setup(ModificationSet::single_replace(
             0,
             running_example_u1_prime(),
         ));
@@ -1114,26 +1081,18 @@ mod tests {
             use_greedy_slicer: true,
             ..Default::default()
         };
-        let answer =
-            answer_what_if(&query, &versioned, &current, Method::ReenactPsDs, &config).unwrap();
+        let answer = run(&query, Method::ReenactPsDs, &config);
         assert_eq!(answer.delta, reference);
         assert!(answer.stats.solver_calls > 0);
     }
 
     #[test]
     fn stats_reflect_slicing() {
-        let (query, versioned, current) = setup(ModificationSet::single_replace(
+        let query = setup(ModificationSet::single_replace(
             0,
             running_example_u1_prime(),
         ));
-        let answer = answer_what_if(
-            &query,
-            &versioned,
-            &current,
-            Method::ReenactPsDs,
-            &EngineConfig::default(),
-        )
-        .unwrap();
+        let answer = run(&query, Method::ReenactPsDs, &EngineConfig::default());
         // u3 is excluded by program slicing, the data slice keeps 2 of 4
         // tuples.
         assert_eq!(answer.stats.statements_total, 3);
@@ -1142,14 +1101,7 @@ mod tests {
         assert_eq!(answer.stats.input_tuples, 2);
         assert!(answer.timings.program_slicing > std::time::Duration::ZERO);
         // Reenactment-only has no slicing cost and full input.
-        let plain = answer_what_if(
-            &query,
-            &versioned,
-            &current,
-            Method::Reenact,
-            &EngineConfig::default(),
-        )
-        .unwrap();
+        let plain = run(&query, Method::Reenact, &EngineConfig::default());
         assert_eq!(plain.stats.statements_reenacted, 3);
         assert_eq!(plain.stats.input_tuples, 4);
         assert_eq!(plain.stats.solver_calls, 0);
@@ -1157,16 +1109,9 @@ mod tests {
 
     #[test]
     fn empty_modifications_give_empty_answer() {
-        let (query, versioned, current) = setup(ModificationSet::default());
+        let query = setup(ModificationSet::default());
         for method in Method::all() {
-            let answer = answer_what_if(
-                &query,
-                &versioned,
-                &current,
-                method,
-                &EngineConfig::default(),
-            )
-            .unwrap();
+            let answer = run(&query, method, &EngineConfig::default());
             assert!(answer.delta.is_empty(), "method {}", method.label());
         }
     }

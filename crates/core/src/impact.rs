@@ -110,8 +110,8 @@ pub struct ImpactReport {
     /// group-by attributes).
     pub groups: Vec<GroupImpact>,
     /// The metric total over the *current* database state `H(D)`, when a
-    /// baseline was requested (see [`ImpactReport::with_baseline`] /
-    /// [`crate::Mahif::what_if_impact`]).
+    /// baseline was requested (see [`ImpactReport::with_baseline`]; a
+    /// request's `impact(..)` always asks for it).
     pub baseline: Option<i64>,
 }
 

@@ -64,22 +64,6 @@
 //! assert_eq!(response.delta().len(), 2);
 //! ```
 //!
-//! ## Migrating from `Mahif`
-//!
-//! The single-history [`Mahif`] façade is a deprecated shim over a
-//! one-history session; its results are byte-identical. Ports are
-//! mechanical:
-//!
-//! | pre-0.2 call | session form |
-//! |---|---|
-//! | `Mahif::new(db, history)?` | `Session::with_history("name", db, history)?` |
-//! | `mahif.what_if(&mods, method)?` | `session.on("name").modifications(mods).method(method).run()?.into_answer()` |
-//! | `mahif.what_if_sql(script, method)?` | `session.on("name").sql(script).method(method).run()?.into_answer()` |
-//! | `mahif.what_if_configured(&mods, method, &cfg)?` | `session.on("name").modifications(mods).method(method).config(cfg).run()?.into_answer()` |
-//! | `mahif.what_if_impact(&mods, method, &spec)?` | `session.on("name").modifications(mods).method(method).impact(spec).run()?` (report in `response.impact()`) |
-//! | `mahif.current_state()` etc. | `session.history("name")?.current_state()` etc. |
-//! | `ScenarioSet::new(&mahif)` | `ScenarioSet::over(&session, "name")` (crate `mahif-scenario`) |
-//!
 //! ## Execution methods
 //!
 //! | method | description |
@@ -105,7 +89,6 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod impact;
-pub mod mahif;
 mod pool;
 pub mod provision;
 pub mod request;
@@ -114,11 +97,9 @@ pub mod session;
 pub mod stats;
 
 pub use config::{Budget, Deadline, EngineConfig, Method, RefinePolicy};
-pub use engine::{answer_normalized, answer_what_if, compute_program_slice, GroupPlan};
+pub use engine::{compute_program_slice, GroupPlan};
 pub use error::{BudgetBreach, Error, ErrorKind, MahifError, Phase};
 pub use impact::{impact_of, GroupImpact, ImpactReport, ImpactSpec};
-#[allow(deprecated)]
-pub use mahif::Mahif;
 pub use mahif_analyze::{AnalysisError, HistoryAnalysis};
 pub use mahif_query::QueryError;
 pub use provision::{CachedPlan, PlanCache, PlanKey, Provisioned, SessionConfig};

@@ -49,11 +49,11 @@ pub struct BatchStats {
     /// Per-member attribution varies by path: members of a multi-member
     /// group plan report `0` in their own `EngineStats::solver_calls`
     /// (their `shared_work` flag is set), while scenarios answered solo —
-    /// single queries, singleton groups, the `disable_group_reenactment`
-    /// ablation, refined members — fold the slice they were answered with
-    /// into their own stats, exactly like a standalone single query. So
-    /// read *this* field for the request's true solver cost; summing
-    /// member counts on top can re-count a shared slice on the solo paths.
+    /// single queries, singleton groups, refined members — fold the slice
+    /// they were answered with into their own stats, exactly like a
+    /// standalone single query. So read *this* field for the request's true
+    /// solver cost; summing member counts on top can re-count a shared slice
+    /// on the solo paths.
     pub solver_calls: usize,
     /// Annotated delta tuples whose storage was deduplicated across the
     /// request's answers (scenarios with identical relation deltas share

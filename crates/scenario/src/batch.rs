@@ -48,29 +48,12 @@ pub struct BatchConfig {
     /// Number of worker threads; `0` uses the machine's available
     /// parallelism.
     pub parallelism: usize,
-    /// Disable slice sharing across scenarios (each scenario then computes
-    /// its own slice, still in parallel). Useful for ablation; the answers
-    /// are identical either way.
-    pub no_slice_sharing: bool,
 }
 
 impl BatchConfig {
     /// Sets the worker-thread count (`0` = auto).
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Disables slice sharing (ablation).
-    pub fn without_slice_sharing(mut self) -> Self {
-        self.no_slice_sharing = true;
-        self
-    }
-
-    /// Disables the group plans' shared original-side reenactment
-    /// (ablation / pre-group-plan baseline; answers are identical).
-    pub fn without_group_reenactment(mut self) -> Self {
-        self.engine.disable_group_reenactment = true;
         self
     }
 
@@ -105,18 +88,17 @@ pub struct ScenarioAnswer {
     /// The scenario's name.
     pub name: String,
     /// The what-if answer. Its **delta** is identical to what a single
-    /// request returns for the same scenario. In the default group-plan
-    /// path, timings are attributed without double counting: a member of a
-    /// multi-scenario group reports only its own work (modified-side
-    /// reenactment + delta) and carries `stats.shared_work = true`, while
-    /// the group's shared slicing and original-reenactment time is
-    /// reported **once** in [`BatchStats::slicing`] /
-    /// [`BatchStats::group_reenactment`] — so summing those member timings
-    /// plus the batch-level shared fields gives the true batch cost.
-    /// Scenarios answered outside a multi-member plan (singleton groups,
-    /// the ablations, refined members) fold their slicing work like single
-    /// queries; see [`BatchStats::solver_calls`] for the deduplicated
-    /// accounting.
+    /// request returns for the same scenario. Timings are attributed
+    /// without double counting: a member of a multi-scenario group reports
+    /// only its own work (modified-side reenactment + delta) and carries
+    /// `stats.shared_work = true`, while the group's shared slicing and
+    /// original-reenactment time is reported **once** in
+    /// [`BatchStats::slicing`] / [`BatchStats::group_reenactment`] — so
+    /// summing those member timings plus the batch-level shared fields
+    /// gives the true batch cost. Scenarios answered outside a multi-member
+    /// plan (singleton groups, refined members) fold their slicing work like
+    /// single queries; see [`BatchStats::solver_calls`] for the
+    /// deduplicated accounting.
     pub answer: WhatIfAnswer,
 }
 
@@ -190,9 +172,6 @@ pub struct ScenarioSet<'a> {
     scenarios: Vec<Scenario>,
 }
 
-/// The batch API is also known as `BatchWhatIf` in the paper-facing docs.
-pub type BatchWhatIf<'a> = ScenarioSet<'a>;
-
 impl<'a> ScenarioSet<'a> {
     /// Creates an empty scenario set over the history registered under
     /// `history` in `session`.
@@ -202,17 +181,6 @@ impl<'a> ScenarioSet<'a> {
             history: history.into(),
             scenarios: Vec::new(),
         }
-    }
-
-    /// Creates an empty scenario set over a legacy [`mahif::Mahif`]
-    /// middleware (its single registered history).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ScenarioSet::over(&session, history_name)"
-    )]
-    #[allow(deprecated)]
-    pub fn new(mahif: &'a mahif::Mahif) -> Self {
-        ScenarioSet::over(mahif.session(), mahif::Mahif::HISTORY)
     }
 
     /// Registers a scenario; names must be unique within the set.
@@ -277,16 +245,13 @@ impl<'a> ScenarioSet<'a> {
         if self.scenarios.is_empty() {
             return Err(ScenarioError::EmptyScenarioSet);
         }
-        let mut request = self
+        let response = self
             .session
             .on(&self.history)
             .method(method)
             .config(config.engine.clone())
-            .parallelism(config.parallelism);
-        if config.no_slice_sharing {
-            request = request.without_slice_sharing();
-        }
-        let response = request.run_batch(self.scenarios.iter().cloned())?;
+            .parallelism(config.parallelism)
+            .run_batch(self.scenarios.iter().cloned())?;
         Ok(BatchAnswer::from_response(response))
     }
 }
@@ -456,20 +421,27 @@ mod tests {
     }
 
     #[test]
-    fn no_sharing_ablation_matches() {
+    fn shared_sweep_matches_solo_runs_and_naive() {
         let session = session();
         let set = sweep_set(&session, &[55, 60, 65]);
         let shared = set.answer_all(Method::ReenactPsDs).unwrap();
-        let unshared = set
-            .answer_all_configured(
-                Method::ReenactPsDs,
-                &BatchConfig::default().without_slice_sharing(),
-            )
-            .unwrap();
-        assert_eq!(unshared.stats.shared_slice_hits, 0);
-        assert_eq!(unshared.stats.slice_groups, 3);
-        for (a, b) in shared.answers.iter().zip(&unshared.answers) {
-            assert_eq!(a.answer.delta, b.answer.delta);
+        assert_eq!(shared.stats.slice_groups, 1);
+        for (answer, scenario) in shared.answers.iter().zip(set.scenarios()) {
+            for method in [Method::ReenactPsDs, Method::Naive] {
+                let solo = session
+                    .on("retail")
+                    .modifications(scenario.modifications().clone())
+                    .method(method)
+                    .without_plan_cache()
+                    .run()
+                    .unwrap()
+                    .into_answer();
+                assert_eq!(
+                    answer.answer.delta, solo.delta,
+                    "{} vs {method}",
+                    answer.name
+                );
+            }
         }
     }
 
@@ -540,29 +512,5 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(batch.answers[0].answer.delta, *reference.delta());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_constructor_still_works() {
-        let mahif = mahif::Mahif::new(
-            running_example_database(),
-            History::new(running_example_history()),
-        )
-        .unwrap();
-        let mut set = ScenarioSet::new(&mahif);
-        set.add(Scenario::new(
-            "a",
-            ModificationSet::single_replace(0, running_example_u1_prime()),
-        ))
-        .unwrap();
-        let batch = set.answer_all(Method::ReenactPsDs).unwrap();
-        let reference = mahif
-            .what_if(
-                &ModificationSet::single_replace(0, running_example_u1_prime()),
-                Method::ReenactPsDs,
-            )
-            .unwrap();
-        assert_eq!(batch.answers[0].answer.delta, reference.delta);
     }
 }

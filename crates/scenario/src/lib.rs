@@ -12,7 +12,7 @@
 //! * [`Scenario`] — a named [`ModificationSet`](mahif_history::ModificationSet)
 //!   or what-if SQL script, with sweep helpers
 //!   ([`Scenario::sweep_replace`], [`Scenario::sweep_replace_values`]);
-//! * [`ScenarioSet`] (alias [`BatchWhatIf`]) — registers scenarios over one
+//! * [`ScenarioSet`] — registers scenarios over one
 //!   history of a [`mahif::Session`] and answers them all with
 //!   [`ScenarioSet::answer_all`];
 //! * [`BatchAnswer`] — per-scenario deltas plus batch work statistics, with
@@ -75,13 +75,11 @@
 #![allow(clippy::result_large_err)]
 
 pub mod batch;
-pub mod cache;
 pub mod compare;
 pub mod error;
 pub mod scenario;
 
-pub use batch::{BatchAnswer, BatchConfig, BatchStats, BatchWhatIf, ScenarioAnswer, ScenarioSet};
-pub use cache::{group_scenarios, ScenarioGroup, ScenarioGroups, SliceCache};
+pub use batch::{BatchAnswer, BatchConfig, BatchStats, ScenarioAnswer, ScenarioSet};
 pub use compare::{rank_scenarios, RankedScenario, ScenarioComparison};
 pub use error::ScenarioError;
 pub use scenario::Scenario;

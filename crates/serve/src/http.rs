@@ -6,9 +6,9 @@
 //! serving layer needs, split so one connection can carry many requests:
 //!
 //! * [`read_head`] parses a request line + headers from a long-lived
-//!   `BufRead` (the connection's reader), leaving the body unread — the
-//!   server decides per route whether to buffer it ([`read_body_string`]),
-//!   stream it (`reader.take(len)`), or discard it ([`drain_body`]).
+//!   `BufRead` (the connection's reader), leaving the body unread on the
+//!   reader; [`parse_head_buffered`] does the same over a connection's
+//!   receive buffer and reports where the body starts.
 //! * [`write_response`] / [`write_continue`] write to the connection's
 //!   write half, with explicit [`ConnectionDirective`] headers
 //!   (`Connection: keep-alive` + `Keep-Alive: timeout=…, max=…`, or
@@ -21,7 +21,7 @@
 //! `Expect` values are all rejected with 400 — and the server closes the
 //! connection rather than guess where the next request starts.
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, Write};
 use std::time::Duration;
 
 /// A parsed request line + headers; the body (if any) is still on the
@@ -334,27 +334,6 @@ fn incomplete(buffered: usize) -> Result<Option<(RequestHead, usize)>, HttpError
     Ok(None)
 }
 
-/// Reads exactly `len` body bytes into a UTF-8 string.
-pub fn read_body_string<R: BufRead>(reader: &mut R, len: usize) -> Result<String, HttpError> {
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    String::from_utf8(body).map_err(|_| HttpError::Malformed("body is not UTF-8"))
-}
-
-/// Discards `len` body bytes so the next pipelined request starts at a
-/// request line, not inside a leftover body. Returns an error if the
-/// bytes never arrive (the caller then closes the connection).
-pub fn drain_body<R: BufRead>(reader: &mut R, len: u64) -> io::Result<()> {
-    let copied = io::copy(&mut reader.take(len), &mut io::sink())?;
-    if copied != len {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed before the declared body ended",
-        ));
-    }
-    Ok(())
-}
-
 /// What the response tells the client about the connection's future.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnectionDirective {
@@ -463,6 +442,13 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
+    /// Reads exactly `len` body bytes off the reader the head left them on.
+    fn read_body<R: BufRead>(reader: &mut R, len: usize) -> String {
+        let mut body = vec![0u8; len];
+        reader.read_exact(&mut body).unwrap();
+        String::from_utf8(body).unwrap()
+    }
+
     fn head_of(request: &str) -> Result<Option<RequestHead>, HttpError> {
         let mut reader = BufReader::new(request.as_bytes());
         read_head(&mut reader)
@@ -478,7 +464,7 @@ mod tests {
         assert_eq!(head.segments(), vec!["histories", "retail", "batch"]);
         assert_eq!(head.content_length, 4);
         assert!(head.keep_alive, "HTTP/1.1 defaults to keep-alive");
-        assert_eq!(read_body_string(&mut reader, 4).unwrap(), "body");
+        assert_eq!(read_body(&mut reader, 4), "body");
         // The pipelined follow-up is intact on the same reader.
         let next = read_head(&mut reader).unwrap().unwrap();
         assert_eq!(next.path, "/next");
@@ -610,23 +596,7 @@ mod tests {
         );
         let mut reader = BufReader::new(raw.as_bytes());
         let head = read_head(&mut reader).unwrap().unwrap();
-        assert_eq!(
-            read_body_string(&mut reader, head.content_length).unwrap(),
-            body
-        );
-    }
-
-    #[test]
-    fn drain_body_skips_exactly_the_declared_bytes() {
-        let raw = "xxxxGET /after HTTP/1.1\r\n\r\n";
-        let mut reader = BufReader::new(raw.as_bytes());
-        drain_body(&mut reader, 4).unwrap();
-        let head = read_head(&mut reader).unwrap().unwrap();
-        assert_eq!(head.path, "/after");
-        // A body the peer never finishes is an error, not a silent short
-        // drain.
-        let mut reader = BufReader::new(&b"xy"[..]);
-        assert!(drain_body(&mut reader, 5).is_err());
+        assert_eq!(read_body(&mut reader, head.content_length), body);
     }
 
     #[test]

@@ -313,10 +313,6 @@ pub struct BatchRequest {
     pub parallelism: usize,
     /// Slice-refinement policy override, when given.
     pub refine: Option<RefinePolicy>,
-    /// Slice-sharing ablation: `false` disables sharing.
-    pub slice_sharing: bool,
-    /// Group-reenactment ablation: `false` disables group plans.
-    pub group_reenactment: bool,
     /// Static-analyzer ablation: `false` disables admission pre-validation
     /// and no-op proofs.
     pub analyzer: bool,
@@ -335,12 +331,13 @@ pub struct BatchRequest {
 ///   "impact": {"relation": "Order", "attribute": "ShippingFee"},
 ///   "parallelism": 0,
 ///   "refine": "auto",
-///   "slice_sharing": true,
-///   "group_reenactment": true
+///   "analyzer": true
 /// }
 /// ```
 ///
-/// Only `scenarios` is required. Statement numbers in what-if scripts are
+/// Only `scenarios` is required. Unknown keys are ignored, so bodies that
+/// still carry the retired `slice_sharing` / `group_reenactment` ablation
+/// flags decode unchanged. Statement numbers in what-if scripts are
 /// 1-based, like `mahif_sqlparse::parse_whatif` documents.
 pub fn decode_batch(body: &str) -> Result<BatchRequest, WireError> {
     let doc = Json::parse(body).map_err(|e| WireError::bad_request(e.to_string()))?;
@@ -432,8 +429,6 @@ pub fn decode_batch(body: &str) -> Result<BatchRequest, WireError> {
             )))
         }
     };
-    let slice_sharing = decode_flag(&doc, "slice_sharing", true)?;
-    let group_reenactment = decode_flag(&doc, "group_reenactment", true)?;
     let analyzer = decode_flag(&doc, "analyzer", true)?;
     Ok(BatchRequest {
         scenarios,
@@ -442,8 +437,6 @@ pub fn decode_batch(body: &str) -> Result<BatchRequest, WireError> {
         impact,
         parallelism,
         refine,
-        slice_sharing,
-        group_reenactment,
         analyzer,
     })
 }
@@ -913,7 +906,9 @@ mod tests {
           "budget": {"max_scenarios": 16, "deadline_ms": 250},
           "impact": {"relation": "Order", "attribute": "ShippingFee"},
           "parallelism": 2,
-          "refine": "never"
+          "refine": "never",
+          "slice_sharing": false,
+          "group_reenactment": false
         }"#;
         let batch = decode_batch(body).unwrap();
         assert_eq!(batch.method, Method::ReenactPsDs);
@@ -926,8 +921,9 @@ mod tests {
         assert!(batch.impact.is_some());
         assert_eq!(batch.parallelism, 2);
         assert_eq!(batch.refine, Some(RefinePolicy::Never));
-        assert!(batch.slice_sharing);
-        assert!(batch.group_reenactment);
+        // The retired ablation keys are ignored like any unknown key; the
+        // analyzer flag keeps its default.
+        assert!(batch.analyzer);
     }
 
     #[test]

@@ -478,9 +478,9 @@ mod tests {
             &GreedyConfig::default(),
         )
         .unwrap();
-        let dependency = crate::program::program_slice(
+        let dependency = crate::multi::program_slice_multi(
             &n.original,
-            &n.modified,
+            std::slice::from_ref(&n.modified),
             &n.modified_positions,
             &q.database,
             &crate::program::ProgramSlicingConfig::default(),

@@ -12,10 +12,11 @@
 //!   *statements* whose presence provably cannot influence the delta, proven
 //!   by symbolic execution of the histories over a single-tuple VC-database
 //!   constrained by the compressed database Φ_D and a satisfiability check.
-//!   [`program`] implements the optimized dependency test of Section 9 (the
-//!   default used by the engine and the experiments); [`greedy`] implements
-//!   the general candidate-testing algorithm of Section 8.3.3 based on the
-//!   slicing condition ζ.
+//!   [`multi`] runs the optimized dependency test of Section 9 (the default
+//!   used by the engine and the experiments) over a scenario group — a
+//!   single query is a group of one — from the symbolic building blocks in
+//!   [`program`]; [`greedy`] implements the general candidate-testing
+//!   algorithm of Section 8.3.3 based on the slicing condition ζ.
 //!
 //! Both optimizations are *conservative*: when a condition cannot be derived
 //! or a satisfiability check is inconclusive, data is not filtered and
@@ -42,11 +43,10 @@ pub use error::SlicingError;
 pub use greedy::{greedy_slice, GreedyConfig};
 pub use groups::{
     canonical_positions, group_scenarios, position_set_hash, ScenarioGroup, ScenarioGroups,
-    SliceCache,
 };
 pub use multi::{
     program_slice_multi, program_slice_multi_with_context, refine_slice_for_variant,
     SymbolicGroupContext,
 };
-pub use program::{program_slice, ProgramSliceResult, ProgramSlicingConfig};
+pub use program::{ProgramSliceResult, ProgramSlicingConfig};
 pub use summaries::{statement_summaries, statement_summary, StatementKind, StatementSummary};

@@ -3,22 +3,26 @@
 //! A scenario sweep ("what if the threshold had been 55 / 60 / 65 …?")
 //! produces k modified histories that all differ from the same normalized
 //! original history at the same positions. Running the dependency test of
-//! [`crate::program`] once per scenario repeats almost identical work k
-//! times: the original-history trajectories, the per-relation domains, the
-//! compressed-database constraint Φ_D and the witness samples are the same
-//! every time, and the statements under test only differ in the "affected by
-//! a modified statement" side of the dependency condition.
+//! Section 9 (see [`crate::program`]) once per scenario repeats almost
+//! identical work k times: the original-history trajectories, the
+//! per-relation domains, the compressed-database constraint Φ_D and the
+//! witness samples are the same every time, and the statements under test
+//! only differ in the "affected by a modified statement" side of the
+//! dependency condition.
 //!
 //! [`program_slice_multi`] therefore computes **one slice certified for
 //! every scenario in the group**: the affected-by-modification condition
 //! becomes the disjunction over all k variants. A statement is excluded only
 //! when that disjunction is unsatisfiable — and `UNSAT` of a disjunction
 //! implies `UNSAT` of each disjunct, so the exclusion is exactly the
-//! per-scenario certificate of [`crate::program_slice`] for every variant,
-//! with the cumulative exclusion set shared across variants. The resulting
-//! kept set is a superset of each scenario's individual slice (it keeps a
-//! statement if *any* scenario needs it), which is always answer-preserving;
-//! the payoff is one slicing pass instead of k.
+//! per-scenario certificate for every variant, with the cumulative exclusion
+//! set shared across variants. The resulting kept set is a superset of each
+//! scenario's individual slice (it keeps a statement if *any* scenario needs
+//! it), which is always answer-preserving; the payoff is one slicing pass
+//! instead of k.
+//!
+//! This is the only slicing loop: a single query is a group of one
+//! (`variants` of length 1), which is how the engine slices it.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -128,8 +132,8 @@ impl std::fmt::Debug for SymbolicGroupContext {
 ///
 /// Requirements (checked): all `variants` have the same length as
 /// `original`, and each differs from `original` only at `positions` (the
-/// shared normalization of the group). With a single variant this degenerates
-/// to [`crate::program_slice`] up to symbolic variable naming.
+/// shared normalization of the group). With a single variant this is the
+/// dependency test of one what-if query.
 ///
 /// `variants` may hold owned histories or references (`&[History]` or
 /// `&[&History]`), so batch callers can borrow variants from their
@@ -180,8 +184,8 @@ pub fn program_slice_multi_with_context<H: Borrow<History>>(
 /// Φ_D and witness samples taken from `context` instead of being recomputed.
 ///
 /// The result is answer-preserving for `variant` by the same cumulative
-/// certificate as [`crate::program_slice`]: the starting candidate (the
-/// union slice) is certified for this variant, and every further exclusion
+/// certificate as a from-scratch slice: the starting candidate (the union
+/// slice) is certified for this variant, and every further exclusion
 /// is checked against the candidate produced by the previous exclusions.
 pub fn refine_slice_for_variant(
     original: &History,
@@ -342,7 +346,10 @@ fn multi_slice_impl(
         ));
         // "Affected by a modified statement" in any variant, over both the
         // candidate and the i-removed trajectories (see crate::program for
-        // why both are needed).
+        // why both are needed). If no input tuple is affected both by
+        // statement i and by a modification, every tuple i touches has an
+        // empty per-tuple delta before and after the removal, so removing
+        // i preserves the answer; exclusions apply cumulatively.
         let affected_by_modification = simplify(&mahif_expr::builder::disjunction(
             relation_positions.iter().flat_map(|&p| {
                 let a = &original.statements()[p];
@@ -430,11 +437,8 @@ fn multi_slice_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::program_slice;
     use mahif_expr::builder::*;
-    use mahif_history::statement::{
-        running_example_database, running_example_history, running_example_u1_prime,
-    };
+    use mahif_history::statement::{running_example_database, running_example_history};
     use mahif_history::{HistoricalWhatIf, ModificationSet, SetClause};
 
     /// The running-example sweep: u1 with free-shipping thresholds 55..=75
@@ -477,9 +481,9 @@ mod tests {
         )
         .unwrap();
         for variant in &variants {
-            let single = program_slice(
+            let single = program_slice_multi(
                 &original,
-                variant,
+                std::slice::from_ref(variant),
                 &positions,
                 &db,
                 &ProgramSlicingConfig::default(),
@@ -525,32 +529,6 @@ mod tests {
             .unwrap();
             assert_eq!(sliced_delta, reference, "scenario {v} answer changed");
         }
-    }
-
-    #[test]
-    fn singleton_group_matches_program_slice() {
-        let db = running_example_database();
-        let history = History::new(running_example_history());
-        let mods = ModificationSet::single_replace(0, running_example_u1_prime());
-        let (original, modified, positions) = mods.normalize(&history).unwrap();
-        let single = program_slice(
-            &original,
-            &modified,
-            &positions,
-            &db,
-            &ProgramSlicingConfig::default(),
-        )
-        .unwrap();
-        let multi = program_slice_multi(
-            &original,
-            std::slice::from_ref(&modified),
-            &positions,
-            &db,
-            &ProgramSlicingConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(single.kept_positions, multi.kept_positions);
-        assert_eq!(single.excluded_positions, multi.excluded_positions);
     }
 
     #[test]
@@ -603,9 +581,9 @@ mod tests {
                 );
             }
             // … and matches the member's own from-scratch slice here.
-            let own = crate::program_slice(
+            let own = program_slice_multi(
                 &history,
-                variant,
+                std::slice::from_ref(variant),
                 &positions,
                 &db,
                 &ProgramSlicingConfig::default(),

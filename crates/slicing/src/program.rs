@@ -1,4 +1,7 @@
-//! Program slicing via the dependency test of Section 9.
+//! The dependency test of Section 9: its configuration, its result and the
+//! symbolic building blocks (trajectories, "affected" conditions, witness
+//! checks) that [`crate::multi`]'s slicing loop runs. A single query is a
+//! scenario group of one, so there is exactly one loop.
 //!
 //! A statement can be excluded from reenactment when its presence provably
 //! has no effect on the answer of the what-if query. Any tuple in the answer
@@ -33,18 +36,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mahif_expr::{
     eval_condition, eval_expr, simplify, substitute_attrs, Expr, MapBindings, SubstMap,
 };
 use mahif_history::{History, Statement};
-use mahif_solver::{Domain, SatProblem, SatResult, SearchConfig, Solver};
-use mahif_storage::Database;
-use mahif_symbolic::{compress_relation, initial_var_name, CompressionConfig};
-
-use crate::domains::domains_for_relation;
-use crate::error::SlicingError;
+use mahif_solver::{Domain, SatProblem, SearchConfig};
+use mahif_symbolic::{initial_var_name, CompressionConfig};
 
 /// Configuration of program slicing.
 #[derive(Debug, Clone, Default)]
@@ -284,246 +283,10 @@ pub(crate) fn affected_relations(
     affected
 }
 
-/// Computes the program slice for normalized histories `original` /
-/// `modified` (equal length, differing at `positions`) over `database` (the
-/// time-travel state `D`). Returns the positions to keep.
-pub fn program_slice(
-    original: &History,
-    modified: &History,
-    positions: &[usize],
-    database: &Database,
-    config: &ProgramSlicingConfig,
-) -> Result<ProgramSliceResult, SlicingError> {
-    let start = Instant::now();
-    if original.len() != modified.len() {
-        return Err(SlicingError::HistoriesNotAligned {
-            original: original.len(),
-            modified: modified.len(),
-        });
-    }
-    if positions.is_empty() {
-        // Nothing was modified: the answer is empty and no statement needs to
-        // be reenacted.
-        return Ok(ProgramSliceResult {
-            kept_positions: Vec::new(),
-            excluded_positions: (0..original.len()).collect(),
-            solver_calls: 0,
-            duration: start.elapsed(),
-        });
-    }
-
-    let affected = affected_relations(original, modified, positions);
-    let modified_set: BTreeSet<usize> = positions.iter().copied().collect();
-    let solver = Solver::with_config(config.solver.clone());
-
-    // Per-relation solver inputs that do not depend on the candidate slice.
-    struct RelationContext {
-        domains: Vec<(String, Domain)>,
-        phi_d: Expr,
-        /// Sampled concrete tuples (as variable bindings of the initial
-        /// symbolic variables) used as cheap dependency witnesses.
-        witnesses: Vec<MapBindings>,
-    }
-    let mut contexts: BTreeMap<String, RelationContext> = BTreeMap::new();
-
-    let mut kept = Vec::new();
-    let mut excluded = Vec::new();
-    let mut excluded_set: BTreeSet<usize> = BTreeSet::new();
-    let mut solver_calls = 0usize;
-
-    for (i, stmt) in original.statements().iter().enumerate() {
-        if modified_set.contains(&i) {
-            kept.push(i);
-            continue;
-        }
-        // Inserts are always kept (their reenactment cost is bounded by the
-        // number of inserted tuples, Section 10).
-        if matches!(
-            stmt,
-            Statement::InsertValues { .. } | Statement::InsertQuery { .. }
-        ) {
-            kept.push(i);
-            continue;
-        }
-        let relation = stmt.relation().to_string();
-        // Statements over relations that cannot carry delta tuples are
-        // trivially independent.
-        if !affected.contains(&relation) {
-            excluded.push(i);
-            excluded_set.insert(i);
-            continue;
-        }
-        // Statements over affected relations for which no modified statement
-        // targets the same relation (only possible via insert-select data
-        // flow) are kept conservatively.
-        let relation_positions: Vec<usize> = positions
-            .iter()
-            .copied()
-            .filter(|p| {
-                original
-                    .statement(*p)
-                    .map(|s| s.relation() == relation)
-                    .unwrap_or(false)
-            })
-            .collect();
-        if relation_positions.is_empty() {
-            kept.push(i);
-            continue;
-        }
-
-        // Build (or reuse) the per-relation symbolic context.
-        if !contexts.contains_key(&relation) {
-            let rel = database.relation(&relation)?;
-            let domains = domains_for_relation(rel, initial_var_name)?;
-            let phi_d = if config.skip_compression_constraint {
-                Expr::true_()
-            } else {
-                compress_relation(rel, &config.compression)
-            };
-            // Sample up to WITNESS_SAMPLES tuples, evenly spaced over the
-            // relation, as concrete dependency witnesses.
-            let stride = (rel.len() / WITNESS_SAMPLES).max(1);
-            let witnesses = rel
-                .iter()
-                .step_by(stride)
-                .take(WITNESS_SAMPLES)
-                .map(|t| {
-                    let mut b = MapBindings::new();
-                    for (idx, a) in rel.schema.attributes.iter().enumerate() {
-                        if let Some(v) = t.value(idx) {
-                            b.set_var(initial_var_name(&a.name), v.clone());
-                        }
-                    }
-                    b
-                })
-                .collect();
-            contexts.insert(
-                relation.clone(),
-                RelationContext {
-                    domains,
-                    phi_d,
-                    witnesses,
-                },
-            );
-        }
-        let ctx = &contexts[&relation];
-
-        // Dependency condition for excluding statement `i` from the current
-        // candidate slice `S` (all positions minus the exclusions made so
-        // far): there must be *no* possible input tuple that is affected by
-        // statement `i` (in the candidate histories) and also affected by a
-        // modified statement — where the modified statements' conditions are
-        // evaluated both over the candidate histories `S` and over the
-        // candidate with `i` removed (`S' = S \ {i}`). If no such tuple
-        // exists, every tuple touched by `i` produces an empty per-tuple
-        // delta before and after the removal, so the removal preserves the
-        // answer; exclusions are applied cumulatively. (The paper's
-        // Definition 7 checks only the full-history trajectories, which
-        // property testing shows is insufficient: removing `i` can change
-        // which tuples a later modified statement fires on.)
-        let orig_cand = trajectory(original, &relation, &excluded_set, "_h");
-        let mod_cand = trajectory(modified, &relation, &excluded_set, "_m");
-        let mut skip_prime = excluded_set.clone();
-        skip_prime.insert(i);
-        let orig_sliced = trajectory(original, &relation, &skip_prime, "_sh");
-        let mod_sliced = trajectory(modified, &relation, &skip_prime, "_sm");
-
-        let affected_by_stmt = simplify(&Expr::Or(
-            Arc::new(affects_condition(stmt, &orig_cand.states[i])),
-            Arc::new(affects_condition(
-                &modified.statements()[i],
-                &mod_cand.states[i],
-            )),
-        ));
-        let affected_by_modification = simplify(&mahif_expr::builder::disjunction(
-            relation_positions.iter().flat_map(|&p| {
-                let a = &original.statements()[p];
-                let b = &modified.statements()[p];
-                vec![
-                    affects_condition(a, &orig_cand.states[p]),
-                    affects_condition(b, &mod_cand.states[p]),
-                    affects_condition(a, &orig_sliced.states[p]),
-                    affects_condition(b, &mod_sliced.states[p]),
-                ]
-            }),
-        ));
-        let core_condition = simplify(&Expr::And(
-            Arc::new(affected_by_modification),
-            Arc::new(affected_by_stmt),
-        ));
-        let definitions: Vec<(String, Expr)> = orig_cand
-            .definitions
-            .iter()
-            .chain(mod_cand.definitions.iter())
-            .chain(orig_sliced.definitions.iter())
-            .chain(mod_sliced.definitions.iter())
-            .cloned()
-            .collect();
-
-        // Stage 1: concrete witnesses. A database tuple satisfying the core
-        // dependency condition is a world of Φ_D, so the statement is
-        // provably dependent and must be kept.
-        if ctx
-            .witnesses
-            .iter()
-            .any(|w| witness_satisfies(&core_condition, &definitions, w))
-        {
-            kept.push(i);
-            continue;
-        }
-
-        // Stage 2: decide the core condition (without Φ_D). Its variables are
-        // only those mentioned by the statement conditions, which keeps the
-        // search space small. UNSAT of the core implies UNSAT of the full
-        // conjunction with Φ_D.
-        solver_calls += 1;
-        let core_problem =
-            problem_with_definitions(ctx.domains.clone(), core_condition.clone(), &definitions);
-        let core_result = solver.check(&core_problem);
-        match core_result {
-            SatResult::Unsat => {
-                excluded.push(i);
-                excluded_set.insert(i);
-                continue;
-            }
-            SatResult::Sat(ref model) => {
-                // The core witness proves dependence only if it also lies in
-                // a world of the compressed database.
-                if model_satisfies(&ctx.phi_d, model) {
-                    kept.push(i);
-                    continue;
-                }
-            }
-            SatResult::Unknown => {}
-        }
-
-        // Stage 3: full condition including Φ_D.
-        let condition = simplify(&Expr::And(
-            Arc::new(ctx.phi_d.clone()),
-            Arc::new(core_condition),
-        ));
-        let problem = problem_with_definitions(ctx.domains.clone(), condition, &definitions);
-        solver_calls += 1;
-        match solver.check(&problem) {
-            SatResult::Unsat => {
-                excluded.push(i);
-                excluded_set.insert(i);
-            }
-            SatResult::Sat(_) | SatResult::Unknown => kept.push(i),
-        }
-    }
-
-    Ok(ProgramSliceResult {
-        kept_positions: kept,
-        excluded_positions: excluded,
-        solver_calls,
-        duration: start.elapsed(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multi::program_slice_multi;
     use mahif_expr::builder::*;
     use mahif_history::statement::{
         running_example_database, running_example_history, running_example_u1_prime,
@@ -543,9 +306,9 @@ mod tests {
     /// the result against direct execution.
     fn assert_slice_preserves_answer(query: &HistoricalWhatIf, config: &ProgramSlicingConfig) {
         let n = query.normalize().unwrap();
-        let slice = program_slice(
+        let slice = program_slice_multi(
             &n.original,
-            &n.modified,
+            std::slice::from_ref(&n.modified),
             &n.modified_positions,
             &query.database,
             config,
@@ -577,9 +340,9 @@ mod tests {
         // are not affected by u1/u1' (price < 50), so u3 is excluded.
         let q = bob_query();
         let n = q.normalize().unwrap();
-        let slice = program_slice(
+        let slice = program_slice_multi(
             &n.original,
-            &n.modified,
+            std::slice::from_ref(&n.modified),
             &n.modified_positions,
             &q.database,
             &ProgramSlicingConfig::default(),
@@ -611,9 +374,9 @@ mod tests {
             ModificationSet::single_replace(0, running_example_u1_prime()),
         );
         let n = q.normalize().unwrap();
-        let slice = program_slice(
+        let slice = program_slice_multi(
             &n.original,
-            &n.modified,
+            std::slice::from_ref(&n.modified),
             &n.modified_positions,
             &q.database,
             &ProgramSlicingConfig::default(),
@@ -647,9 +410,9 @@ mod tests {
             ModificationSet::single_replace(0, running_example_u1_prime()),
         );
         let n = q.normalize().unwrap();
-        let slice = program_slice(
+        let slice = program_slice_multi(
             &n.original,
-            &n.modified,
+            std::slice::from_ref(&n.modified),
             &n.modified_positions,
             &q.database,
             &ProgramSlicingConfig::default(),
@@ -696,9 +459,9 @@ mod tests {
             ModificationSet::single_replace(0, running_example_u1_prime()),
         );
         let n = q.normalize().unwrap();
-        let slice = program_slice(
+        let slice = program_slice_multi(
             &n.original,
-            &n.modified,
+            std::slice::from_ref(&n.modified),
             &n.modified_positions,
             &q.database,
             &ProgramSlicingConfig::default(),
@@ -717,9 +480,9 @@ mod tests {
             ModificationSet::default(),
         );
         let n = q.normalize().unwrap();
-        let slice = program_slice(
+        let slice = program_slice_multi(
             &n.original,
-            &n.modified,
+            std::slice::from_ref(&n.modified),
             &n.modified_positions,
             &q.database,
             &ProgramSlicingConfig::default(),
@@ -745,19 +508,5 @@ mod tests {
         assert_eq!(r.kept_positions, vec![0, 1, 2, 3]);
         assert!(r.excluded_positions.is_empty());
         assert_eq!(r.exclusion_ratio(), 0.0);
-    }
-
-    #[test]
-    fn misaligned_histories_error() {
-        let h = History::new(running_example_history());
-        let shorter = h.prefix(1);
-        assert!(program_slice(
-            &h,
-            &shorter,
-            &[0],
-            &running_example_database(),
-            &ProgramSlicingConfig::default()
-        )
-        .is_err());
     }
 }

@@ -11,7 +11,7 @@ use mahif_history::statement::{
     running_example_database, running_example_history, running_example_u1_prime,
 };
 use mahif_history::{HistoricalWhatIf, History, ModificationSet};
-use mahif_slicing::{program_slice, ProgramSlicingConfig};
+use mahif_slicing::{program_slice_multi, ProgramSlicingConfig};
 use mahif_solver::{Domain, SatProblem, SatResult, Solver};
 use mahif_symbolic::{compress_relation, CompressionConfig, VcTable};
 
@@ -70,12 +70,13 @@ fn main() {
         other => println!("unexpected solver result: {other:?}\n"),
     }
 
-    // 4. The full program slice computed by the engine: u3 is provably
-    //    independent and excluded from reenactment.
+    // 4. The full program slice computed by the engine (a single query is a
+    //    scenario group of one): u3 is provably independent and excluded
+    //    from reenactment.
     let normalized = query.normalize().unwrap();
-    let slice = program_slice(
+    let slice = program_slice_multi(
         &normalized.original,
-        &normalized.modified,
+        std::slice::from_ref(&normalized.modified),
         &normalized.modified_positions,
         &query.database,
         &ProgramSlicingConfig::default(),

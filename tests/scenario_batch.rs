@@ -268,8 +268,9 @@ fn insert_query_history_batches_match_singles() {
     }
 }
 
-/// The ablations (no slice sharing, single-threaded, greedy slicer) never
-/// change any delta.
+/// The batch configurations (worker counts, refinement, greedy slicer)
+/// never change any delta, and every delta is the scenario's solo answer
+/// and the definitional Naive answer.
 #[test]
 fn batch_configurations_agree() {
     let session = running_example_session();
@@ -282,11 +283,26 @@ fn batch_configurations_agree() {
     ))
     .unwrap();
     let reference = set.answer_all(Method::ReenactPsDs).unwrap();
+    for (scenario, answer) in set.scenarios().iter().zip(&reference.answers) {
+        for method in [Method::ReenactPsDs, Method::Naive] {
+            let solo = session
+                .on("retail")
+                .modifications(scenario.modifications().clone())
+                .method(method)
+                .without_plan_cache()
+                .run()
+                .unwrap();
+            assert_eq!(
+                &answer.answer.delta,
+                solo.delta(),
+                "{} vs {method}",
+                answer.name
+            );
+        }
+    }
     let configs = [
-        BatchConfig::default().without_slice_sharing(),
         BatchConfig::default().with_parallelism(1),
         BatchConfig::default().with_parallelism(3),
-        BatchConfig::default().without_group_reenactment(),
         BatchConfig::default().with_slice_refinement(),
         BatchConfig {
             engine: mahif::EngineConfig {

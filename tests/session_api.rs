@@ -1,7 +1,5 @@
-//! Integration tests for the `Session`/`WhatIfRequest` redesign:
+//! Integration tests for the `Session`/`WhatIfRequest` API:
 //!
-//! * the deprecated `Mahif` shim is byte-identical to a hand-built session
-//!   (it funnels into the same `Session::execute` path);
 //! * a session answers k sweep queries without re-executing or re-cloning
 //!   the registered version chain (observable via `Session::stats`);
 //! * error paths surface the unified `mahif::Error` and its `Display`
@@ -10,10 +8,8 @@
 
 use mahif::{ErrorKind, Method, Session};
 use mahif_expr::builder::*;
-use mahif_history::statement::{
-    running_example_database, running_example_history, running_example_u1_prime,
-};
-use mahif_history::{History, ModificationSet, SetClause, Statement};
+use mahif_history::statement::{running_example_database, running_example_history};
+use mahif_history::{History, SetClause, Statement};
 
 fn retail_session() -> Session {
     Session::with_history(
@@ -30,65 +26,6 @@ fn threshold(t: i64) -> Statement {
         SetClause::single("ShippingFee", lit(0)),
         ge(attr("Price"), lit(t)),
     )
-}
-
-/// Acceptance criterion: the deprecated shim's answers are byte-identical
-/// to the session's, for every method, for plain and SQL and impact calls.
-#[test]
-#[allow(deprecated)]
-fn deprecated_shim_is_byte_identical_to_session() {
-    let mahif = mahif::Mahif::new(
-        running_example_database(),
-        History::new(running_example_history()),
-    )
-    .unwrap();
-    let session = retail_session();
-    let mods = ModificationSet::single_replace(0, running_example_u1_prime());
-
-    for method in Method::all() {
-        let shim = mahif.what_if(&mods, method).unwrap();
-        let new = session
-            .on("retail")
-            .modifications(mods.clone())
-            .method(method)
-            .run()
-            .unwrap();
-        assert_eq!(&shim.delta, new.delta(), "method {method}");
-        assert_eq!(
-            shim.stats.statements_reenacted,
-            new.answer().stats.statements_reenacted,
-            "method {method}"
-        );
-        assert_eq!(
-            shim.stats.input_tuples,
-            new.answer().stats.input_tuples,
-            "method {method}"
-        );
-    }
-
-    let script = "REPLACE STATEMENT 1 WITH UPDATE Order SET ShippingFee = 0 WHERE Price >= 60";
-    let shim_sql = mahif.what_if_sql(script, Method::ReenactPsDs).unwrap();
-    let new_sql = session
-        .on("retail")
-        .sql(script)
-        .method(Method::ReenactPsDs)
-        .run()
-        .unwrap();
-    assert_eq!(&shim_sql.delta, new_sql.delta());
-
-    let spec = mahif::ImpactSpec::sum_of("Order", "ShippingFee");
-    let (shim_answer, shim_report) = mahif
-        .what_if_impact(&mods, Method::ReenactPsDs, &spec)
-        .unwrap();
-    let new_impact = session
-        .on("retail")
-        .modifications(mods.clone())
-        .method(Method::ReenactPsDs)
-        .impact(spec)
-        .run()
-        .unwrap();
-    assert_eq!(&shim_answer.delta, new_impact.delta());
-    assert_eq!(Some(&shim_report), new_impact.impact());
 }
 
 /// Regression for the borrow refactor: answering k sweep queries neither
