@@ -18,7 +18,7 @@
 //!
 //! 1. **Register** expensive state once. [`Session::register`] names a
 //!    `(D, H)` pair and executes the history a single time to materialize
-//!    the version chain. A session holds any number of histories.
+//!    the current state `H(D)`. A session holds any number of histories.
 //! 2. **Ask** many cheap hypotheticals. [`Session::on`] starts a fluent
 //!    [`WhatIfRequest`]; `run()` answers a single query, `run_batch(..)` a
 //!    whole scenario sweep. Either way the request flows through the one
@@ -26,7 +26,8 @@
 //!    so shared program slices, the worker pool and impact reporting apply
 //!    uniformly. The engine borrows the registered history and initial
 //!    state; no entry point clones them per call
-//!    (see [`Session::stats`]).
+//!    (see [`Session::stats`], whose every counter is one cell of the
+//!    [`SessionMetrics`] store a serving layer's `/metrics` scrapes).
 //! 3. **Read** the uniform [`Response`]: per-scenario delta + timings +
 //!    work stats + optional [`ImpactReport`], plus batch-level
 //!    [`BatchStats`].

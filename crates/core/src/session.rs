@@ -2,16 +2,23 @@
 //! service core.
 //!
 //! A [`Session`] registers any number of **named** histories — each
-//! registration executes the history once to materialize the version chain
-//! (the deployment equivalent is a DBMS with time travel plus the statement
-//! log) — and then answers what-if requests against them. Requests are
-//! built fluently with [`Session::on`] and executed by the single
-//! [`Session::execute`] funnel: a single query is a batch of one, so
-//! shared-slice grouping and the worker pool apply to every entry point.
-//! The engine borrows the registered history and initial state per request
-//! — answering is O(answer), never O(|H| + |D|) in copies — which
-//! [`Session::stats`] makes observable: `version_chains_built` stays at the
-//! number of registrations no matter how many requests run.
+//! registration executes the history once, keeping the initial state `D`
+//! and the current state `H(D)` (the deployment equivalent is a DBMS with
+//! time travel plus the statement log) — and then answers what-if requests
+//! against them. Requests are built fluently with [`Session::on`] and
+//! executed by the single [`Session::execute`] funnel: a single query is a
+//! batch of one, so shared-slice grouping and the worker pool apply to
+//! every entry point. The engine borrows the registered history and initial
+//! state per request — answering is O(answer), never O(|H| + |D|) in copies
+//! — which [`Session::stats`] makes observable: `version_chains_built`
+//! (histories executed at registration) stays at the number of
+//! registrations no matter how many requests run.
+//!
+//! ## Counters
+//!
+//! Every work counter lives in exactly one `mahif_obs` cell of
+//! [`SessionMetrics`]. [`Session::stats`] reads those cells and a serving
+//! layer's `/metrics` scrapes them, so the two views cannot drift.
 //!
 //! ## Concurrency
 //!
@@ -91,7 +98,7 @@ use crate::response::{BatchStats, Response, ScenarioResponse};
 use crate::stats::{EngineStats, PhaseTimings, WhatIfAnswer};
 
 /// One history registered with a [`Session`]: the statement log plus the
-/// version chain materialized at registration.
+/// initial and current states materialized at registration.
 #[derive(Debug, Clone)]
 pub struct RegisteredHistory {
     name: String,
@@ -116,7 +123,7 @@ impl RegisteredHistory {
         &self.history
     }
 
-    /// The full version chain (time travel).
+    /// The initial and current states (time travel).
     pub fn versions(&self) -> &VersionedDatabase {
         &self.versioned
     }
@@ -138,87 +145,24 @@ impl RegisteredHistory {
     }
 }
 
-/// Monotonic work counters of a session (interior mutability: answering
-/// borrows the session immutably).
-///
-/// One mutex guards all values: counters are only touched in whole-request
-/// (or whole-registration) commits and whole-set snapshots, so a snapshot
-/// can never observe half of a request's counters — also as fields grow.
-/// Committing is rare (once per request, not per scenario), so a plain
-/// mutex is the right tool; do not "optimize" individual counters into
-/// lock-free atomics, that would reintroduce torn snapshots. Lock order:
-/// registry lock (if held) strictly before this one.
-#[derive(Debug, Default)]
-struct Counters {
-    values: Mutex<CounterValues>,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct CounterValues {
-    version_chains_built: u64,
-    requests: u64,
-    scenarios_answered: u64,
-    slices_computed: u64,
-    slices_shared: u64,
-    original_reenactments: u64,
-    refined_slices: u64,
-    delta_tuples_deduped: u64,
-}
-
-impl Counters {
-    /// Applies one atomic multi-counter commit.
-    fn commit(&self, apply: impl FnOnce(&mut CounterValues)) {
-        apply(&mut self.values.lock().expect("counter lock poisoned"));
-    }
-
-    /// The single consistent read path over the counters: both
-    /// [`Session::stats`] and any serving layer's `/stats` endpoint go
-    /// through here, and only ever see whole committed requests.
-    fn snapshot(&self, histories: usize) -> SessionStats {
-        let v = *self.values.lock().expect("counter lock poisoned");
-        SessionStats {
-            histories,
-            version_chains_built: v.version_chains_built,
-            requests: v.requests,
-            scenarios_answered: v.scenarios_answered,
-            slices_computed: v.slices_computed,
-            slices_shared: v.slices_shared,
-            original_reenactments: v.original_reenactments,
-            refined_slices: v.refined_slices,
-            delta_tuples_deduped: v.delta_tuples_deduped,
-            // Filled from the live metric cells by `Session::stats` — the
-            // plan-cache values are mutated at cache-lookup/insert time on
-            // the lock-free monitoring path, so `/stats` and `/metrics`
-            // read the very same cells.
-            plan_cache_hits: 0,
-            plan_cache_misses: 0,
-            plan_cache_evictions: 0,
-            plan_cache_entries: 0,
-            columnar_batches: 0,
-            vectorized_predicates: 0,
-            row_fallbacks: 0,
-            analyzer_rejections: 0,
-            analyzer_noop_proofs: 0,
-        }
-    }
-}
-
-impl Clone for Counters {
-    fn clone(&self) -> Self {
-        Counters {
-            values: Mutex::new(*self.values.lock().expect("counter lock poisoned")),
-        }
-    }
-}
-
 /// A snapshot of a session's lifetime work counters (see
 /// [`Session::stats`]).
+///
+/// Every counter field is one read of one [`SessionMetrics`] cell, the cell
+/// `/metrics` scrapes as `mahif_<field>_total` (`requests` as
+/// `mahif_engine_requests_total`). A request's success-path counters are
+/// added in one commit that [`Session::stats`] is serialized against, so a
+/// snapshot holds whole requests only. The plan-cache and analyzer counters
+/// are added where their event happens — at lookup, insert or admission,
+/// also for requests that later fail — and read as they stand.
+/// `histories` and `plan_cache_entries` are sampled from the registry at
+/// read time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct SessionStats {
     /// Histories currently registered.
     pub histories: usize,
-    /// Version chains materialized — increments only in
+    /// Histories executed at registration — increments only in
     /// [`Session::register`]. Staying constant across requests is the
     /// observable form of the zero-clone guarantee: no request re-executes
     /// or re-clones a registered history.
@@ -242,25 +186,25 @@ pub struct SessionStats {
     /// Annotated delta tuples deduplicated across batch answers (identical
     /// relation deltas stored once; see `mahif_history::DeltaInterner`).
     pub delta_tuples_deduped: u64,
+    /// Slicing solver calls spent across requests (the deduplicated
+    /// request-level count; see `BatchStats::solver_calls`).
+    pub solver_calls: u64,
+    /// History statements reenacted across all answers (after program
+    /// slicing).
+    pub statements_reenacted: u64,
     /// Provisioning-cache lookups that reused a cached [`crate::GroupPlan`]
     /// — the group (or single scenario) skipped program slicing and plan
-    /// building entirely. Unlike the request counters above, the four
-    /// plan-cache values read the same atomic cells as `/metrics` (they are
-    /// recorded at lookup/insert time, including for requests that later
-    /// fail), so both endpoints agree by construction.
+    /// building entirely.
     pub plan_cache_hits: u64,
     /// Provisioning-cache lookups that found no certified plan to reuse.
     pub plan_cache_misses: u64,
     /// Cached plans evicted by the per-history LRU bounds (see
     /// [`crate::SessionConfig`]).
     pub plan_cache_evictions: u64,
-    /// Plans currently cached across registered histories (approximate
-    /// while an unregister races an in-flight request's insert).
+    /// Plans currently cached across registered histories.
     pub plan_cache_entries: u64,
     /// Per-relation reenactments answered on the columnar path
-    /// (batch-at-a-time over typed columns). Like the plan-cache values,
-    /// the three columnar counters read the same atomic cells as
-    /// `/metrics`, so both endpoints agree by construction.
+    /// (batch-at-a-time over typed columns).
     pub columnar_batches: u64,
     /// Flat predicate/projection programs evaluated vectorized by those
     /// columnar reenactments.
@@ -271,126 +215,196 @@ pub struct SessionStats {
     pub row_fallbacks: u64,
     /// Requests rejected at admission by the static analyzer (unknown
     /// relation/attribute, type-mismatched predicate, malformed parameter
-    /// substitution). Rejected requests never reach the success-path
-    /// counter commit, so this value lives in the same atomic cell
-    /// `/metrics` scrapes — the two endpoints agree by construction.
+    /// substitution).
     pub analyzer_rejections: u64,
     /// Scenarios proven independent by the static analyzer and answered as
     /// an empty delta without slicing or reenactment (byte-identical to
-    /// the full answer). Reads the same atomic cell as `/metrics`.
+    /// the full answer).
     pub analyzer_noop_proofs: u64,
 }
 
-/// The session's always-on telemetry mirror: lock-cheap atomic counters
-/// and latency histograms recorded alongside (never instead of) the
-/// internal `Counters` commit. The mutex-guarded counters stay the one
-/// *consistent* snapshot path (`/stats`); these atomics are the
-/// *monitoring* path (`/metrics`), where Prometheus-style scrapes are racy
-/// by nature and cross-counter consistency is not promised. A serving
-/// layer adopts the handles into its [`mahif_obs::Registry`] via
-/// [`SessionMetrics::register_into`], so the scrape reads the very cells
-/// the session increments.
+/// The session's counter store: one lock-free `mahif_obs` cell per
+/// [`SessionStats`] counter, plus two latency histograms. A serving layer
+/// adopts the handles into its [`mahif_obs::Registry`] via
+/// [`SessionMetrics::register_into`], so a `/metrics` scrape reads the very
+/// cells the session increments and [`Session::stats`] reads.
 #[derive(Debug)]
 pub struct SessionMetrics {
-    /// Requests executed (a batch counts once), mirroring
-    /// [`SessionStats::requests`].
+    /// Histories executed at registration.
+    pub version_chains_built: Arc<mahif_obs::Counter>,
+    /// Requests executed (a batch counts once).
     pub requests: Arc<mahif_obs::Counter>,
-    /// Scenarios answered, mirroring [`SessionStats::scenarios_answered`].
+    /// Scenarios answered.
     pub scenarios_answered: Arc<mahif_obs::Counter>,
-    /// Slicing solver calls spent across requests (the deduplicated
-    /// request-level count; see `BatchStats::solver_calls`).
+    /// Program slices computed.
+    pub slices_computed: Arc<mahif_obs::Counter>,
+    /// Scenarios that reused a group's shared slice.
+    pub slices_shared: Arc<mahif_obs::Counter>,
+    /// Original-side reenactments performed.
+    pub original_reenactments: Arc<mahif_obs::Counter>,
+    /// Group members answered with a refined slice.
+    pub refined_slices: Arc<mahif_obs::Counter>,
+    /// Annotated delta tuples deduplicated across batch answers.
+    pub delta_tuples_deduped: Arc<mahif_obs::Counter>,
+    /// Slicing solver calls spent across requests.
     pub solver_calls: Arc<mahif_obs::Counter>,
     /// Statements reenacted across all answers (after program slicing).
     pub statements_reenacted: Arc<mahif_obs::Counter>,
-    /// Annotated delta tuples deduplicated across batch answers.
-    pub delta_tuples_deduped: Arc<mahif_obs::Counter>,
+    /// Provisioning-cache plan reuses.
+    pub plan_cache_hits: Arc<mahif_obs::Counter>,
+    /// Provisioning-cache lookups without a reusable plan.
+    pub plan_cache_misses: Arc<mahif_obs::Counter>,
+    /// Cached plans evicted by the LRU bounds.
+    pub plan_cache_evictions: Arc<mahif_obs::Counter>,
+    /// Per-relation reenactments answered on the columnar path.
+    pub columnar_batches: Arc<mahif_obs::Counter>,
+    /// Vectorized predicate/projection programs evaluated.
+    pub vectorized_predicates: Arc<mahif_obs::Counter>,
+    /// Columnar attempts that fell back to the row evaluator.
+    pub row_fallbacks: Arc<mahif_obs::Counter>,
+    /// Requests rejected at admission by the static analyzer.
+    pub analyzer_rejections: Arc<mahif_obs::Counter>,
+    /// Scenarios proven independent and answered as empty deltas without
+    /// engine work.
+    pub analyzer_noop_proofs: Arc<mahif_obs::Counter>,
     /// Per-request planning latency (normalize + slicing phases).
     pub plan_seconds: Arc<mahif_obs::Histogram>,
     /// Per-request execution latency (reenactment + diffing, including
     /// group-plan building).
     pub execute_seconds: Arc<mahif_obs::Histogram>,
-    /// Provisioning-cache plan reuses, mirrored into
-    /// [`SessionStats::plan_cache_hits`].
-    pub plan_cache_hits: Arc<mahif_obs::Counter>,
-    /// Provisioning-cache lookups without a reusable plan, mirrored into
-    /// [`SessionStats::plan_cache_misses`].
-    pub plan_cache_misses: Arc<mahif_obs::Counter>,
-    /// Cached plans evicted by the LRU bounds, mirrored into
-    /// [`SessionStats::plan_cache_evictions`].
-    pub plan_cache_evictions: Arc<mahif_obs::Counter>,
-    /// Plans currently cached across registered histories (gauge), mirrored
-    /// into [`SessionStats::plan_cache_entries`].
-    pub plan_cache_entries: Arc<mahif_obs::Gauge>,
-    /// Per-relation reenactments answered on the columnar path, mirrored
-    /// into [`SessionStats::columnar_batches`].
-    pub columnar_batches: Arc<mahif_obs::Counter>,
-    /// Vectorized predicate/projection programs evaluated, mirrored into
-    /// [`SessionStats::vectorized_predicates`].
-    pub vectorized_predicates: Arc<mahif_obs::Counter>,
-    /// Columnar attempts that fell back to the row evaluator, mirrored
-    /// into [`SessionStats::row_fallbacks`].
-    pub row_fallbacks: Arc<mahif_obs::Counter>,
-    /// Requests rejected at admission by the static analyzer, mirrored
-    /// into [`SessionStats::analyzer_rejections`].
-    pub analyzer_rejections: Arc<mahif_obs::Counter>,
-    /// Scenarios proven independent and answered as empty deltas without
-    /// engine work, mirrored into [`SessionStats::analyzer_noop_proofs`].
-    pub analyzer_noop_proofs: Arc<mahif_obs::Counter>,
 }
 
 impl Default for SessionMetrics {
     fn default() -> Self {
         SessionMetrics {
-            requests: Arc::new(mahif_obs::Counter::new()),
-            scenarios_answered: Arc::new(mahif_obs::Counter::new()),
-            solver_calls: Arc::new(mahif_obs::Counter::new()),
-            statements_reenacted: Arc::new(mahif_obs::Counter::new()),
-            delta_tuples_deduped: Arc::new(mahif_obs::Counter::new()),
+            version_chains_built: Arc::default(),
+            requests: Arc::default(),
+            scenarios_answered: Arc::default(),
+            slices_computed: Arc::default(),
+            slices_shared: Arc::default(),
+            original_reenactments: Arc::default(),
+            refined_slices: Arc::default(),
+            delta_tuples_deduped: Arc::default(),
+            solver_calls: Arc::default(),
+            statements_reenacted: Arc::default(),
+            plan_cache_hits: Arc::default(),
+            plan_cache_misses: Arc::default(),
+            plan_cache_evictions: Arc::default(),
+            columnar_batches: Arc::default(),
+            vectorized_predicates: Arc::default(),
+            row_fallbacks: Arc::default(),
+            analyzer_rejections: Arc::default(),
+            analyzer_noop_proofs: Arc::default(),
             plan_seconds: Arc::new(mahif_obs::Histogram::latency()),
             execute_seconds: Arc::new(mahif_obs::Histogram::latency()),
-            plan_cache_hits: Arc::new(mahif_obs::Counter::new()),
-            plan_cache_misses: Arc::new(mahif_obs::Counter::new()),
-            plan_cache_evictions: Arc::new(mahif_obs::Counter::new()),
-            plan_cache_entries: Arc::new(mahif_obs::Gauge::new()),
-            columnar_batches: Arc::new(mahif_obs::Counter::new()),
-            vectorized_predicates: Arc::new(mahif_obs::Counter::new()),
-            row_fallbacks: Arc::new(mahif_obs::Counter::new()),
-            analyzer_rejections: Arc::new(mahif_obs::Counter::new()),
-            analyzer_noop_proofs: Arc::new(mahif_obs::Counter::new()),
         }
     }
 }
 
 impl SessionMetrics {
+    /// Every counter cell with its `/metrics` name and help text.
+    fn counters(&self) -> [(&'static str, &'static str, &Arc<mahif_obs::Counter>); 18] {
+        [
+            (
+                "mahif_version_chains_built_total",
+                "Histories executed at registration",
+                &self.version_chains_built,
+            ),
+            (
+                "mahif_engine_requests_total",
+                "What-if requests executed by the session (a batch counts once)",
+                &self.requests,
+            ),
+            (
+                "mahif_scenarios_answered_total",
+                "Scenarios answered across all requests",
+                &self.scenarios_answered,
+            ),
+            (
+                "mahif_slices_computed_total",
+                "Program slices computed (one per slice-sharing group)",
+                &self.slices_computed,
+            ),
+            (
+                "mahif_slices_shared_total",
+                "Scenarios that reused a group's shared program slice",
+                &self.slices_shared,
+            ),
+            (
+                "mahif_original_reenactments_total",
+                "Original-side reenactments performed (per group plan and relation)",
+                &self.original_reenactments,
+            ),
+            (
+                "mahif_refined_slices_total",
+                "Group members answered with a slice refined below the group's union",
+                &self.refined_slices,
+            ),
+            (
+                "mahif_delta_tuples_deduped_total",
+                "Annotated delta tuples deduplicated across batch answers",
+                &self.delta_tuples_deduped,
+            ),
+            (
+                "mahif_solver_calls_total",
+                "Slicing solver satisfiability checks spent across requests",
+                &self.solver_calls,
+            ),
+            (
+                "mahif_statements_reenacted_total",
+                "History statements reenacted after program slicing",
+                &self.statements_reenacted,
+            ),
+            (
+                "mahif_plan_cache_hits_total",
+                "Provisioning-cache lookups that reused a cached group plan",
+                &self.plan_cache_hits,
+            ),
+            (
+                "mahif_plan_cache_misses_total",
+                "Provisioning-cache lookups without a certified plan to reuse",
+                &self.plan_cache_misses,
+            ),
+            (
+                "mahif_plan_cache_evictions_total",
+                "Cached plans evicted by the provisioning cache's LRU bounds",
+                &self.plan_cache_evictions,
+            ),
+            (
+                "mahif_columnar_batches_total",
+                "Per-relation reenactments answered on the columnar path",
+                &self.columnar_batches,
+            ),
+            (
+                "mahif_vectorized_predicates_total",
+                "Predicate/projection programs evaluated vectorized over columns",
+                &self.vectorized_predicates,
+            ),
+            (
+                "mahif_row_fallbacks_total",
+                "Columnar reenactment attempts that fell back to the row evaluator",
+                &self.row_fallbacks,
+            ),
+            (
+                "mahif_analyzer_rejections_total",
+                "Requests rejected at admission by the static analyzer",
+                &self.analyzer_rejections,
+            ),
+            (
+                "mahif_analyzer_noop_proofs_total",
+                "Scenarios proven independent and answered without engine work",
+                &self.analyzer_noop_proofs,
+            ),
+        ]
+    }
+
     /// Adopts the session's live metric cells into `registry` under their
     /// canonical `mahif_*` names, so a `/metrics` scrape and the session's
     /// own increments read the same atomics.
     pub fn register_into(&self, registry: &mahif_obs::Registry) {
-        registry.adopt_counter(
-            "mahif_engine_requests_total",
-            "What-if requests executed by the session (a batch counts once)",
-            Arc::clone(&self.requests),
-        );
-        registry.adopt_counter(
-            "mahif_scenarios_answered_total",
-            "Scenarios answered across all requests",
-            Arc::clone(&self.scenarios_answered),
-        );
-        registry.adopt_counter(
-            "mahif_solver_calls_total",
-            "Slicing solver satisfiability checks spent across requests",
-            Arc::clone(&self.solver_calls),
-        );
-        registry.adopt_counter(
-            "mahif_statements_reenacted_total",
-            "History statements reenacted after program slicing",
-            Arc::clone(&self.statements_reenacted),
-        );
-        registry.adopt_counter(
-            "mahif_delta_tuples_deduped_total",
-            "Annotated delta tuples deduplicated across batch answers",
-            Arc::clone(&self.delta_tuples_deduped),
-        );
+        for (name, help, cell) in self.counters() {
+            registry.adopt_counter(name, help, Arc::clone(cell));
+        }
         registry.adopt_histogram(
             "mahif_plan_seconds",
             "Per-request planning latency (normalize + slicing phases), seconds",
@@ -401,51 +415,6 @@ impl SessionMetrics {
             "Per-request execution latency (reenactment + diffing), seconds",
             Arc::clone(&self.execute_seconds),
         );
-        registry.adopt_counter(
-            "mahif_plan_cache_hits_total",
-            "Provisioning-cache lookups that reused a cached group plan",
-            Arc::clone(&self.plan_cache_hits),
-        );
-        registry.adopt_counter(
-            "mahif_plan_cache_misses_total",
-            "Provisioning-cache lookups without a certified plan to reuse",
-            Arc::clone(&self.plan_cache_misses),
-        );
-        registry.adopt_counter(
-            "mahif_plan_cache_evictions_total",
-            "Cached plans evicted by the provisioning cache's LRU bounds",
-            Arc::clone(&self.plan_cache_evictions),
-        );
-        registry.adopt_gauge(
-            "mahif_plan_cache_entries",
-            "Plans currently cached across registered histories",
-            Arc::clone(&self.plan_cache_entries),
-        );
-        registry.adopt_counter(
-            "mahif_columnar_batches_total",
-            "Per-relation reenactments answered on the columnar path",
-            Arc::clone(&self.columnar_batches),
-        );
-        registry.adopt_counter(
-            "mahif_vectorized_predicates_total",
-            "Predicate/projection programs evaluated vectorized over columns",
-            Arc::clone(&self.vectorized_predicates),
-        );
-        registry.adopt_counter(
-            "mahif_row_fallbacks_total",
-            "Columnar reenactment attempts that fell back to the row evaluator",
-            Arc::clone(&self.row_fallbacks),
-        );
-        registry.adopt_counter(
-            "mahif_analyzer_rejections_total",
-            "Requests rejected at admission by the static analyzer",
-            Arc::clone(&self.analyzer_rejections),
-        );
-        registry.adopt_counter(
-            "mahif_analyzer_noop_proofs_total",
-            "Scenarios proven independent and answered without engine work",
-            Arc::clone(&self.analyzer_noop_proofs),
-        );
     }
 }
 
@@ -455,8 +424,11 @@ impl SessionMetrics {
 #[derive(Debug, Default)]
 pub struct Session {
     histories: RwLock<Vec<Arc<RegisteredHistory>>>,
-    counters: Counters,
     metrics: SessionMetrics,
+    /// Orders a request's success commit against [`Session::stats`]; the
+    /// counts themselves live in `metrics`. Lock order: registry lock (if
+    /// held) strictly before this one.
+    commit_gate: Mutex<()>,
     /// Provisioning knobs (plan-cache bounds); fixed at construction.
     config: SessionConfig,
     /// Monotonic registration generation, bumped by every `register` and
@@ -472,54 +444,6 @@ const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Session>();
 };
-
-impl Clone for Session {
-    /// Clones the session *state*: the registered histories (shared via
-    /// `Arc`, not re-executed) and a snapshot of the counters. The clone is
-    /// an independent session — later registrations and requests on one are
-    /// not visible on the other.
-    fn clone(&self) -> Self {
-        // The telemetry mirror starts fresh: metric handles may be adopted
-        // into a registry, and a clone sharing them would double-count.
-        // `/stats` consistency comes from `counters` — except the four
-        // plan-cache values, which live in the metric cells; seed the fresh
-        // cells with their current values so the clone's `stats()` matches
-        // the original's at clone time.
-        let metrics = SessionMetrics::default();
-        metrics
-            .plan_cache_hits
-            .add(self.metrics.plan_cache_hits.get());
-        metrics
-            .plan_cache_misses
-            .add(self.metrics.plan_cache_misses.get());
-        metrics
-            .plan_cache_evictions
-            .add(self.metrics.plan_cache_evictions.get());
-        metrics
-            .plan_cache_entries
-            .set(self.metrics.plan_cache_entries.get());
-        metrics
-            .columnar_batches
-            .add(self.metrics.columnar_batches.get());
-        metrics
-            .vectorized_predicates
-            .add(self.metrics.vectorized_predicates.get());
-        metrics.row_fallbacks.add(self.metrics.row_fallbacks.get());
-        metrics
-            .analyzer_rejections
-            .add(self.metrics.analyzer_rejections.get());
-        metrics
-            .analyzer_noop_proofs
-            .add(self.metrics.analyzer_noop_proofs.get());
-        Session {
-            histories: RwLock::new(self.registry().clone()),
-            counters: self.counters.clone(),
-            metrics,
-            config: self.config,
-            generations: AtomicU64::new(self.generations.load(Ordering::Relaxed)),
-        }
-    }
-}
 
 /// A request admitted for execution: the resolved history plus the
 /// validated scenario set and the armed deadline. Phase 1 of the lifecycle.
@@ -640,7 +564,7 @@ impl Session {
 
     /// Registers a database and the transactional history that was executed
     /// over it under `name`. The history is executed once to materialize
-    /// the version chain; every later request borrows that chain. Takes
+    /// the current state; every later request borrows both states. Takes
     /// `&self`: registration is a concurrent service operation, safe from
     /// any thread sharing the session.
     pub fn register(
@@ -656,20 +580,20 @@ impl Session {
                 .on_history(name)
         };
         // Cheap pre-check under the read lock: an already-taken name must
-        // not pay for materializing a version chain it will then discard.
+        // not pay for executing a history it will then discard.
         if self.registry().iter().any(|h| h.name == name) {
             return Err(duplicate(name));
         }
         // Intern repeated string values across the registered state before
-        // materializing the version chain: the version snapshots, the
+        // executing the history: the initial and current states, the
         // columnar string pools and every reenactment result built from
         // them then share one allocation per distinct string instead of
         // re-cloning it per tuple. Equality, hashing and ordering are
         // untouched (see `mahif_storage::StringInterner`).
         let mut initial = initial;
         mahif_storage::StringInterner::new().intern_database(&mut initial);
-        // Materialize the version chain outside the registry lock — it is
-        // the expensive part, and other threads' requests must not stall on
+        // Execute the history outside the registry lock — it is the
+        // expensive part, and other threads' requests must not stall on
         // it. The authoritative duplicate check runs again under the write
         // lock, so two racing registrations of one name still resolve to
         // exactly one winner.
@@ -695,10 +619,9 @@ impl Session {
             versioned,
             provisioned,
         }));
-        // Commit the counter while still holding the registry write lock so
-        // a concurrent `stats()` sees the new history and its version chain
-        // together (see `Counters`).
-        self.counters.commit(|c| c.version_chains_built += 1);
+        // Count while still holding the registry write lock, so a concurrent
+        // `stats()` sees the new history and its count together.
+        self.metrics.version_chains_built.inc();
         Ok(self)
     }
 
@@ -710,13 +633,10 @@ impl Session {
         let mut histories = self.histories.write().expect("history registry poisoned");
         match histories.iter().position(|h| h.name == name) {
             Some(idx) => {
-                let removed = histories.remove(idx);
-                // The removed history's cached plans leave the session with
-                // it (in-flight requests may briefly keep the detached
-                // state alive via their own `Arc`).
-                self.metrics
-                    .plan_cache_entries
-                    .sub(removed.provisioned.cache().len() as i64);
+                // The history's cached plans leave the session with it
+                // (in-flight requests may briefly keep the detached state
+                // alive via their own `Arc`).
+                histories.remove(idx);
                 Ok(())
             }
             None => Err(Error::new(ErrorKind::UnknownHistory(name.to_string()))
@@ -762,35 +682,52 @@ impl Session {
         self.registry().is_empty()
     }
 
-    /// A consistent snapshot of the session's lifetime work counters: the
-    /// one read path over the counters (serving layers expose exactly this
-    /// snapshot), serialized against counter commits so it never reflects a
-    /// half-committed request.
+    /// A consistent snapshot of the session's lifetime work counters: one
+    /// read of one [`SessionMetrics`] cell per field (see [`SessionStats`]).
+    ///
+    /// A request's success commit and this read serialize on one gate,
+    /// taken after the registry lock (registration counts under the
+    /// registry write lock), so a snapshot never reflects a half-committed
+    /// request or registration. The cells stay lock-free atomics: a
+    /// `/metrics` scrape reads them without the gate and is racy by design.
     pub fn stats(&self) -> SessionStats {
         let histories = self.registry();
-        let mut stats = self.counters.snapshot(histories.len());
-        // The plan-cache values come from the live metric cells (the same
-        // atomics `/metrics` scrapes), so the two observability surfaces
-        // agree by construction.
-        stats.plan_cache_hits = self.metrics.plan_cache_hits.get();
-        stats.plan_cache_misses = self.metrics.plan_cache_misses.get();
-        stats.plan_cache_evictions = self.metrics.plan_cache_evictions.get();
-        stats.plan_cache_entries = self.metrics.plan_cache_entries.get().max(0) as u64;
-        // So do the columnar-path counters: one cell each, read here and
-        // scraped by `/metrics`.
-        stats.columnar_batches = self.metrics.columnar_batches.get();
-        stats.vectorized_predicates = self.metrics.vectorized_predicates.get();
-        stats.row_fallbacks = self.metrics.row_fallbacks.get();
-        // And the analyzer counters: rejections happen on requests that
-        // never reach the success-path commit, so both values live in the
-        // metric cells.
-        stats.analyzer_rejections = self.metrics.analyzer_rejections.get();
-        stats.analyzer_noop_proofs = self.metrics.analyzer_noop_proofs.get();
-        stats
+        let plan_cache_entries = cached_plans(&histories);
+        let _gate = self.commit_gate.lock().expect("commit gate poisoned");
+        let m = &self.metrics;
+        SessionStats {
+            histories: histories.len(),
+            version_chains_built: m.version_chains_built.get(),
+            requests: m.requests.get(),
+            scenarios_answered: m.scenarios_answered.get(),
+            slices_computed: m.slices_computed.get(),
+            slices_shared: m.slices_shared.get(),
+            original_reenactments: m.original_reenactments.get(),
+            refined_slices: m.refined_slices.get(),
+            delta_tuples_deduped: m.delta_tuples_deduped.get(),
+            solver_calls: m.solver_calls.get(),
+            statements_reenacted: m.statements_reenacted.get(),
+            plan_cache_hits: m.plan_cache_hits.get(),
+            plan_cache_misses: m.plan_cache_misses.get(),
+            plan_cache_evictions: m.plan_cache_evictions.get(),
+            plan_cache_entries,
+            columnar_batches: m.columnar_batches.get(),
+            vectorized_predicates: m.vectorized_predicates.get(),
+            row_fallbacks: m.row_fallbacks.get(),
+            analyzer_rejections: m.analyzer_rejections.get(),
+            analyzer_noop_proofs: m.analyzer_noop_proofs.get(),
+        }
     }
 
-    /// The session's always-on telemetry mirror (see [`SessionMetrics`]):
-    /// lock-cheap atomics a serving layer adopts into its metrics registry.
+    /// Plans currently cached across the registered histories, counted at
+    /// call time (a serving layer samples this into its
+    /// `mahif_plan_cache_entries` gauge at scrape time).
+    pub fn plan_cache_entries(&self) -> u64 {
+        cached_plans(&self.registry())
+    }
+
+    /// The session's counter store (see [`SessionMetrics`]): lock-free
+    /// cells a serving layer adopts into its metrics registry.
     pub fn metrics(&self) -> &SessionMetrics {
         &self.metrics
     }
@@ -895,9 +832,8 @@ impl Session {
                 }
             }
             scenarios = kept;
-            // Recorded at proof time like the plan-cache counters (i.e.
-            // even if the surviving scenarios later breach the budget), so
-            // `/stats` and `/metrics` read the same cell.
+            // Recorded at proof time like the plan-cache counters, i.e.
+            // even if the surviving scenarios later breach the budget.
             self.metrics.analyzer_noop_proofs.add(noops.len() as u64);
         }
         let threads = resolve_parallelism(parallelism, scenarios.len());
@@ -1268,7 +1204,10 @@ impl Session {
                                 plan,
                             ));
                             if cache_on {
-                                self.record_insert(provisioned.cache().insert(Arc::clone(&entry)));
+                                let outcome = provisioned.cache().insert(Arc::clone(&entry));
+                                self.metrics
+                                    .plan_cache_evictions
+                                    .add(outcome.evicted as u64);
                             }
                             Some(entry)
                         }
@@ -1439,44 +1378,36 @@ impl Session {
         };
 
         // Count the work only once it actually succeeded, so `stats()`
-        // never reports failed requests as answered — and commit all of a
-        // request's counters as one unit, so a concurrent snapshot never
-        // observes half of them.
-        self.counters.commit(|c| {
-            c.requests += 1;
-            c.scenarios_answered += specs.len() as u64;
-            c.slices_computed += stats.slice_groups as u64;
-            c.slices_shared += stats.shared_slice_hits as u64;
-            c.original_reenactments += stats.original_reenactments as u64;
-            c.refined_slices += stats.refined_slices as u64;
-            c.delta_tuples_deduped += stats.delta_tuples_deduped as u64;
-        });
-
-        // The telemetry mirror records the same successful request into
-        // the lock-free monitoring atomics (scrapes are racy by design;
-        // the commit above stays the consistent snapshot path). Statement
-        // counts come from the answers: group members report the shared
-        // slice's kept-statement count each, so the total reflects work
-        // actually reenacted per scenario.
-        self.metrics.requests.inc();
-        self.metrics.scenarios_answered.add(specs.len() as u64);
-        self.metrics.solver_calls.add(stats.solver_calls as u64);
-        self.metrics.statements_reenacted.add(
-            answers
-                .iter()
-                .map(|a| a.stats.statements_reenacted as u64)
-                .sum(),
-        );
-        self.metrics
-            .delta_tuples_deduped
-            .add(stats.delta_tuples_deduped as u64);
-        self.metrics
-            .columnar_batches
-            .add(stats.columnar_batches as u64);
-        self.metrics
-            .vectorized_predicates
-            .add(stats.vectorized_predicates as u64);
-        self.metrics.row_fallbacks.add(stats.row_fallbacks as u64);
+        // never reports failed requests as answered — and add all of a
+        // request's counters under the commit gate, so a concurrent
+        // snapshot never observes half of them. Statement counts come from
+        // the answers: group members report the shared slice's
+        // kept-statement count each, so the total reflects work actually
+        // reenacted per scenario.
+        {
+            let _gate = self.commit_gate.lock().expect("commit gate poisoned");
+            let m = &self.metrics;
+            m.requests.inc();
+            m.scenarios_answered.add(specs.len() as u64);
+            m.slices_computed.add(stats.slice_groups as u64);
+            m.slices_shared.add(stats.shared_slice_hits as u64);
+            m.original_reenactments
+                .add(stats.original_reenactments as u64);
+            m.refined_slices.add(stats.refined_slices as u64);
+            m.delta_tuples_deduped
+                .add(stats.delta_tuples_deduped as u64);
+            m.solver_calls.add(stats.solver_calls as u64);
+            m.statements_reenacted.add(
+                answers
+                    .iter()
+                    .map(|a| a.stats.statements_reenacted as u64)
+                    .sum(),
+            );
+            m.columnar_batches.add(stats.columnar_batches as u64);
+            m.vectorized_predicates
+                .add(stats.vectorized_predicates as u64);
+            m.row_fallbacks.add(stats.row_fallbacks as u64);
+        }
         self.metrics
             .plan_seconds
             .observe_duration(stats.normalize + stats.slicing);
@@ -1498,21 +1429,6 @@ impl Session {
         Ok(Response::new(req.history, req.method, scenarios, stats))
     }
 
-    /// Records a plan-cache insert's outcome into the monitoring cells
-    /// (entry gauge and eviction counter). Lock-free: called from worker
-    /// threads on the execution path.
-    fn record_insert(&self, outcome: crate::provision::InsertOutcome) {
-        if outcome.inserted {
-            self.metrics.plan_cache_entries.add(1);
-        }
-        if outcome.evicted > 0 {
-            self.metrics
-                .plan_cache_evictions
-                .add(outcome.evicted as u64);
-            self.metrics.plan_cache_entries.sub(outcome.evicted as i64);
-        }
-    }
-
     /// Runs `answer` for every scenario on the worker pool, converting
     /// worker panics into [`ErrorKind::WorkerPanicked`].
     fn run_pool(
@@ -1530,6 +1446,14 @@ impl Session {
         });
         collect_results(results)
     }
+}
+
+/// Plans cached across `histories`.
+fn cached_plans(histories: &[Arc<RegisteredHistory>]) -> u64 {
+    histories
+        .iter()
+        .map(|h| h.provisioned.cache().len() as u64)
+        .sum()
 }
 
 /// Convenience: `session.on(..).run_batch(pairs)` accepts
@@ -1615,8 +1539,10 @@ mod tests {
         let reg = s.history("retail").unwrap();
         assert_eq!(reg.name(), "retail");
         assert_eq!(reg.history().len(), 3);
-        assert_eq!(reg.versions().version_count(), 4);
-        assert_eq!(reg.initial_state().total_tuples(), 4);
+        let initial = running_example_database();
+        assert!(reg.versions().initial().set_eq(&initial));
+        let current = reg.history().execute(&initial).unwrap();
+        assert!(reg.versions().current().set_eq(&current));
         assert_eq!(s.stats().version_chains_built, 1);
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
@@ -1867,6 +1793,8 @@ mod tests {
 
     #[test]
     fn auto_refine_policy_triggers_on_large_groups_with_large_slices() {
+        // `RefinePolicy`'s default is the Auto cost model this test drives.
+        assert_eq!(EngineConfig::default().refine, RefinePolicy::auto());
         // A history whose union slice keeps several statements: the
         // modified threshold update, the fee surcharge that reads what the
         // threshold wrote, and two band updates that only the low
@@ -2144,15 +2072,23 @@ mod tests {
     }
 
     #[test]
-    fn clone_snapshots_state_without_rerunning_histories() {
+    fn unregister_racing_a_request_leaves_no_cached_plan_counted() {
+        // A request admitted before `unregister` finishes on the detached
+        // registered state and inserts its plan into the detached cache;
+        // that plan left the session with its history.
         let s = session();
-        s.on("retail").replace(0, threshold(60)).run().unwrap();
-        let clone = s.clone();
-        assert_eq!(clone.stats(), s.stats());
-        // The clone is independent: new work on the original is invisible.
-        s.on("retail").replace(0, threshold(65)).run().unwrap();
-        assert_eq!(clone.stats().requests + 1, s.stats().requests);
-        // Policy knob: `RefinePolicy` default is the Auto cost model.
-        assert_eq!(EngineConfig::default().refine, RefinePolicy::auto());
+        let request = s
+            .on("retail")
+            .method(Method::ReenactPsDs)
+            .replace(0, threshold(60));
+        let admitted = s.admit(request.into_parts().unwrap()).unwrap();
+        s.unregister("retail").unwrap();
+        let mut stats = BatchStats::default();
+        let planned = s.plan(&admitted, &mut stats).unwrap();
+        s.execute_planned(admitted, planned, stats).unwrap();
+        let stats = s.stats();
+        assert_eq!(stats.histories, 0);
+        assert_eq!(stats.plan_cache_entries, 0, "{stats:?}");
+        assert_eq!(s.plan_cache_entries(), 0);
     }
 }

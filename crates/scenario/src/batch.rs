@@ -231,7 +231,7 @@ impl<'a> ScenarioSet<'a> {
 
     /// Answers every scenario by funneling the whole set into
     /// [`Session::execute`]: normalization is shared, scenario groups share
-    /// one program slice each, the registered version chain is borrowed
+    /// one program slice each, the registered states are borrowed
     /// (never cloned), and scenarios run in parallel. Re-answering the same
     /// (or an overlapping) set against an unchanged history additionally
     /// reuses the session's provisioning cache (`mahif::provision`), which

@@ -188,6 +188,7 @@ pub(crate) struct ServeMetrics {
     pub(crate) epoll_wait_seconds: Arc<mahif_obs::Histogram>,
     pub(crate) admission_in_flight: Arc<Gauge>,
     pub(crate) admission_queued: Arc<Gauge>,
+    pub(crate) plan_cache_entries: Arc<Gauge>,
 }
 
 impl ServeMetrics {
@@ -250,6 +251,10 @@ impl ServeMetrics {
                 "mahif_admission_queued",
                 "Engine-heavy requests currently waiting for an execution slot",
             ),
+            plan_cache_entries: registry.gauge(
+                "mahif_plan_cache_entries",
+                "Plans currently cached across registered histories",
+            ),
         }
     }
 
@@ -311,9 +316,9 @@ impl Server {
         let admission =
             AdmissionController::new(config.max_in_flight_batches, config.max_queued_batches);
         let registry = Arc::new(Registry::new());
-        // The engine's telemetry mirror and the admission shed counter are
-        // *adopted*: `/metrics` scrapes the very cells `/stats` and the
-        // 429 path write, so the two views agree by construction.
+        // The session's counter cells and the admission shed counter are
+        // *adopted*: `/metrics` scrapes the very cells `/stats` reads and
+        // the 429 path writes, so the two views agree by construction.
         session.metrics().register_into(&registry);
         registry.adopt_counter(
             "mahif_admission_shed_total",
@@ -918,6 +923,10 @@ fn route(head: &RequestHead, body: &str, shared: &Shared, ctx: &mut RequestCtx) 
                 .admission_in_flight
                 .set(snap.in_flight as i64);
             shared.metrics.admission_queued.set(snap.queued as i64);
+            shared
+                .metrics
+                .plan_cache_entries
+                .set(session.plan_cache_entries() as i64);
             Reply::text(200, shared.registry.render())
         }
         ("GET", ["debug", "slow"]) => {

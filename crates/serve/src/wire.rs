@@ -639,9 +639,12 @@ pub fn encode_session_stats(
             "delta_tuples_deduped",
             Json::Int(stats.delta_tuples_deduped as i64),
         ),
-        // The provisioning cache (see `mahif::provision`): these read the
-        // very cells `/metrics` exposes as `mahif_plan_cache_*`, so the two
-        // endpoints agree by construction.
+        ("solver_calls", Json::Int(stats.solver_calls as i64)),
+        (
+            "statements_reenacted",
+            Json::Int(stats.statements_reenacted as i64),
+        ),
+        // The provisioning cache (see `mahif::provision`).
         ("plan_cache_hits", Json::Int(stats.plan_cache_hits as i64)),
         (
             "plan_cache_misses",
@@ -655,17 +658,14 @@ pub fn encode_session_stats(
             "plan_cache_entries",
             Json::Int(stats.plan_cache_entries as i64),
         ),
-        // The columnar reenactment path: same single-cell contract as the
-        // plan-cache values above.
+        // The columnar reenactment path.
         ("columnar_batches", Json::Int(stats.columnar_batches as i64)),
         (
             "vectorized_predicates",
             Json::Int(stats.vectorized_predicates as i64),
         ),
         ("row_fallbacks", Json::Int(stats.row_fallbacks as i64)),
-        // The static analyzer: same single-cell contract again —
-        // rejections happen on requests that never commit counters, so
-        // both endpoints read the analyzer's atomic cells.
+        // The static analyzer.
         (
             "analyzer_rejections",
             Json::Int(stats.analyzer_rejections as i64),

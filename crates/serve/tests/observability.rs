@@ -1,7 +1,8 @@
 //! Observability-layer tests over real TCP: `/metrics` exposition-format
 //! lint, request-id round-trips across keep-alive pipelines, the
 //! `/debug/slow` ring (eviction order, spans matching the `Server-Timing`
-//! header), admission state in `/stats`, and `/healthz` build info.
+//! header), `/stats` ↔ `/metrics` agreement on admission state and on
+//! every session counter, and `/healthz` build info.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -438,8 +439,10 @@ fn stats_and_metrics_agree_on_admission_state() {
 }
 
 #[test]
-fn stats_and_metrics_agree_on_plan_cache() {
+fn stats_and_metrics_agree_on_every_session_counter() {
     let (handle, addr) = start_server(ServeConfig::default());
+    // One keep-alive connection: every request is recorded before the
+    // reads run.
     let mut client = HttpClient::new(&addr);
     assert_eq!(
         client
@@ -448,113 +451,122 @@ fn stats_and_metrics_agree_on_plan_cache() {
             .status,
         201
     );
-    // The same sweep twice on one keep-alive connection: the first run
-    // misses and provisions a plan, the second hits it.
-    let body = sweep_body();
-    for _ in 0..2 {
+    // A sweep and its repeat (a plan-cache miss, then a hit), an analyzer
+    // rejection (unknown attribute) and a proven no-op (the identity
+    // replacement).
+    let typo = r#"{"scenarios": [{"name": "typo", "whatif": "REPLACE STATEMENT 1 WITH UPDATE Order SET Freight = 0 WHERE Price >= 60"}]}"#;
+    let identity = r#"{"scenarios": [{"name": "identity", "whatif": "REPLACE STATEMENT 1 WITH UPDATE Order SET ShippingFee = 0 WHERE Price >= 50"}]}"#;
+    let sweep = sweep_body();
+    let mut request_batches = 0;
+    let mut request_predicates = 0;
+    for (body, status) in [(&*sweep, 200), (&*sweep, 200), (typo, 400), (identity, 200)] {
         let reply = client
-            .request("POST", "/histories/retail/batch", Some(&body), false)
+            .request("POST", "/histories/retail/batch", Some(body), false)
             .unwrap();
-        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert_eq!(reply.status, status, "{}", reply.body);
+        if status == 200 {
+            let stats = Json::parse(&reply.body).unwrap();
+            let stats = stats.get("stats").unwrap();
+            request_batches += stats
+                .get("columnar_batches")
+                .and_then(Json::as_i64)
+                .unwrap();
+            request_predicates += stats
+                .get("vectorized_predicates")
+                .and_then(Json::as_i64)
+                .unwrap();
+        }
     }
 
     let stats = client.request("GET", "/stats", None, false).unwrap();
     assert_eq!(stats.status, 200);
     let stats = Json::parse(&stats.body).unwrap();
-    let hits = stats.get("plan_cache_hits").and_then(Json::as_i64).unwrap();
-    let misses = stats
-        .get("plan_cache_misses")
-        .and_then(Json::as_i64)
-        .unwrap();
-    let entries = stats
-        .get("plan_cache_entries")
-        .and_then(Json::as_i64)
-        .unwrap();
-    let evictions = stats
-        .get("plan_cache_evictions")
-        .and_then(Json::as_i64)
-        .unwrap();
+    let scrape = client.request("GET", "/metrics", None, false).unwrap();
+    assert_eq!(scrape.status, 200);
+    let series: HashMap<&str, f64> = scrape
+        .body
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| line.rsplit_once(' '))
+        .map(|(name, value)| (name, value.parse().unwrap()))
+        .collect();
+
+    // Every counter `/stats` reports, with the series `/metrics` scrapes
+    // from the same cell.
+    let table = [
+        ("version_chains_built", "mahif_version_chains_built_total"),
+        ("requests", "mahif_engine_requests_total"),
+        ("scenarios_answered", "mahif_scenarios_answered_total"),
+        ("slices_computed", "mahif_slices_computed_total"),
+        ("slices_shared", "mahif_slices_shared_total"),
+        ("original_reenactments", "mahif_original_reenactments_total"),
+        ("refined_slices", "mahif_refined_slices_total"),
+        ("delta_tuples_deduped", "mahif_delta_tuples_deduped_total"),
+        ("solver_calls", "mahif_solver_calls_total"),
+        ("statements_reenacted", "mahif_statements_reenacted_total"),
+        ("plan_cache_hits", "mahif_plan_cache_hits_total"),
+        ("plan_cache_misses", "mahif_plan_cache_misses_total"),
+        ("plan_cache_evictions", "mahif_plan_cache_evictions_total"),
+        ("plan_cache_entries", "mahif_plan_cache_entries"),
+        ("columnar_batches", "mahif_columnar_batches_total"),
+        ("vectorized_predicates", "mahif_vectorized_predicates_total"),
+        ("row_fallbacks", "mahif_row_fallbacks_total"),
+        ("analyzer_rejections", "mahif_analyzer_rejections_total"),
+        ("analyzer_noop_proofs", "mahif_analyzer_noop_proofs_total"),
+    ];
+    let Json::Obj(pairs) = &stats else {
+        panic!("/stats is an object")
+    };
+    let counters: Vec<&str> = pairs
+        .iter()
+        .filter(|(key, value)| key != "histories" && value.as_i64().is_some())
+        .map(|(key, _)| key.as_str())
+        .collect();
     assert_eq!(
-        (hits, misses, entries, evictions),
+        counters,
+        table.map(|(key, _)| key),
+        "every /stats counter has a row"
+    );
+    let get = |key: &str| stats.get(key).and_then(Json::as_i64).unwrap();
+    for (key, metric) in table {
+        assert_eq!(
+            series.get(metric).copied(),
+            Some(get(key) as f64),
+            "/stats {key} vs /metrics {metric}\n{}",
+            scrape.body
+        );
+    }
+
+    // The counters saw the work: the rejection is not a request, the no-op
+    // is a one-scenario request.
+    assert_eq!(get("version_chains_built"), 1);
+    assert_eq!((get("requests"), get("scenarios_answered")), (3, 7));
+    assert_eq!(
+        (
+            get("plan_cache_hits"),
+            get("plan_cache_misses"),
+            get("plan_cache_entries"),
+            get("plan_cache_evictions")
+        ),
         (1, 1, 1, 0),
         "cold sweep misses once and provisions one group plan; warm sweep hits it"
     );
-
-    // /metrics reads the very same cells.
-    let scrape = client.request("GET", "/metrics", None, false).unwrap();
-    assert_eq!(scrape.status, 200);
-    for line in [
-        format!("mahif_plan_cache_hits_total {hits}"),
-        format!("mahif_plan_cache_misses_total {misses}"),
-        format!("mahif_plan_cache_evictions_total {evictions}"),
-        format!("mahif_plan_cache_entries {entries}"),
-    ] {
-        assert!(scrape.body.contains(&line), "{line}\n{}", scrape.body);
-    }
-    handle.stop();
-}
-
-#[test]
-fn stats_and_metrics_agree_on_columnar_counters() {
-    let (handle, addr) = start_server(ServeConfig::default());
-    let mut client = HttpClient::new(&addr);
+    assert_eq!(get("slices_computed"), 1, "the warm sweep reuses the slice");
     assert_eq!(
-        client
-            .request("POST", "/histories/retail", Some(REGISTER_BODY), false)
-            .unwrap()
-            .status,
-        201
+        (get("analyzer_rejections"), get("analyzer_noop_proofs")),
+        (1, 1)
     );
-    let reply = client
-        .request(
-            "POST",
-            "/histories/retail/batch",
-            Some(&sweep_body()),
-            false,
-        )
-        .unwrap();
-    assert_eq!(reply.status, 200, "{}", reply.body);
-    // The batch answer reports its own columnar work: every UPDATE of the
-    // retail history compiles, so the sweep answers on the columnar path.
-    let response = Json::parse(&reply.body).unwrap();
-    let request_batches = response
-        .get("stats")
-        .and_then(|s| s.get("columnar_batches"))
-        .and_then(Json::as_i64)
-        .unwrap();
-    let request_predicates = response
-        .get("stats")
-        .and_then(|s| s.get("vectorized_predicates"))
-        .and_then(Json::as_i64)
-        .unwrap();
-    assert!(request_batches > 0, "{}", reply.body);
-    assert!(request_predicates > 0, "{}", reply.body);
-
-    let stats = client.request("GET", "/stats", None, false).unwrap();
-    assert_eq!(stats.status, 200);
-    let stats = Json::parse(&stats.body).unwrap();
-    let batches = stats
-        .get("columnar_batches")
-        .and_then(Json::as_i64)
-        .unwrap();
-    let predicates = stats
-        .get("vectorized_predicates")
-        .and_then(Json::as_i64)
-        .unwrap();
-    let fallbacks = stats.get("row_fallbacks").and_then(Json::as_i64).unwrap();
-    assert_eq!(batches, request_batches);
-    assert_eq!(predicates, request_predicates);
-    assert_eq!(fallbacks, 0, "every retail statement vectorizes");
-
-    // /metrics reads the very same cells.
-    let scrape = client.request("GET", "/metrics", None, false).unwrap();
-    assert_eq!(scrape.status, 200);
-    for line in [
-        format!("mahif_columnar_batches_total {batches}"),
-        format!("mahif_vectorized_predicates_total {predicates}"),
-        format!("mahif_row_fallbacks_total {fallbacks}"),
+    assert_eq!(get("columnar_batches"), request_batches);
+    assert_eq!(get("vectorized_predicates"), request_predicates);
+    assert_eq!(get("row_fallbacks"), 0, "every retail statement vectorizes");
+    for key in [
+        "slices_shared",
+        "original_reenactments",
+        "solver_calls",
+        "statements_reenacted",
+        "columnar_batches",
     ] {
-        assert!(scrape.body.contains(&line), "{line}\n{}", scrape.body);
+        assert!(get(key) > 0, "{key}\n{}", scrape.body);
     }
     handle.stop();
 }

@@ -6,8 +6,8 @@
 //! instead of $50?"* — a historical what-if query replacing the first update
 //! of the history.
 //!
-//! The workflow is register-once / ask-many: a [`Session`] materializes the
-//! version chain when the history is registered, and every what-if request
+//! The workflow is register-once / ask-many: a [`Session`] executes the
+//! history once when it is registered, and every what-if request
 //! (built fluently with `session.on(..)`) borrows that state — no per-query
 //! copies of the history or database.
 //!
@@ -28,8 +28,8 @@ fn main() {
     let history = History::new(running_example_history());
     println!("History:\n{history}");
 
-    // Register both under a name; this materializes the version chain used
-    // for time travel, exactly once.
+    // Register both under a name; this executes the history exactly once,
+    // keeping the initial and current states for time travel.
     let session = Session::with_history("retail", database, history).expect("history executes");
     let retail = session.history("retail").unwrap();
     println!("Current state (Figure 3):\n{}", retail.current_state());
@@ -64,7 +64,7 @@ fn main() {
     // The session registered the history once, no matter how many requests ran.
     let stats = session.stats();
     println!(
-        "session: {} request(s) answered over {} registered version chain(s)",
+        "session: {} request(s) answered over {} history execution(s) at registration",
         stats.requests, stats.version_chains_built
     );
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the `Session`/`WhatIfRequest` API:
 //!
 //! * a session answers k sweep queries without re-executing or re-cloning
-//!   the registered version chain (observable via `Session::stats`);
+//!   the registered history (observable via `Session::stats`);
 //! * error paths surface the unified `mahif::Error` and its `Display`
 //!   names the offending scenario and history;
 //! * `Method` round-trips its paper labels through `Display`/`FromStr`.
@@ -29,8 +29,8 @@ fn threshold(t: i64) -> Statement {
 }
 
 /// Regression for the borrow refactor: answering k sweep queries neither
-/// re-executes nor re-clones the registered version chain — the session
-/// materializes it exactly once at registration.
+/// re-executes nor re-clones the registered history — the session
+/// executes it exactly once at registration.
 #[test]
 fn k_sweep_queries_reuse_the_registered_version_chain() {
     let session = retail_session();
@@ -56,7 +56,7 @@ fn k_sweep_queries_reuse_the_registered_version_chain() {
     assert_eq!(stats.scenarios_answered, thresholds.len() as u64);
 
     // The same sweep as one batch: one more request, one shared slice for
-    // all k scenarios, and still exactly one version chain.
+    // all k scenarios, and still exactly one history execution.
     let response = session
         .on("retail")
         .method(Method::ReenactPsDs)
